@@ -18,13 +18,10 @@
 //!    scanned at all.
 //! 2. **Best-bound-first verification.** Candidates the truncated merge
 //!    did see carry only partial overlaps, so each is finished by exact
-//!    verification against its stored token-id set, in descending order of
-//!    its upper bound `min(partial + L - i, |domain|) / |Q|` — capped by
-//!    the domain's own size, so a small domain that provably cannot reach
-//!    the threshold is dropped without verification at all. Verification
-//!    stops when the k-th best verified table score strictly beats the
-//!    best remaining bound — strictly, so score ties are still verified
-//!    and name tie-breaking matches the exhaustive merge byte-for-byte.
+//!    verification in the bounded-retrieval kernel (`bounded.rs`), bounded
+//!    by `min(partial + L - i, |domain|) / |Q|` — capped by the domain's
+//!    own size, so a small domain that provably cannot reach the
+//!    threshold is dropped without verification at all.
 //! 3. **Postings budget.** [`QueryBudget::postings`](crate::QueryBudget)
 //!    caps the posting entries the merge may scan. A budget stop skips the
 //!    unscanned lists and reports `budget_exhausted`; whatever was seen is
@@ -41,6 +38,7 @@
 
 use std::collections::HashMap;
 
+use crate::bounded::{self, Hits, Visit};
 use crate::lshe::{DomainKey, LshEnsembleDiscovery};
 
 /// What one cost-bounded exact search actually did — folded into
@@ -56,43 +54,6 @@ pub(crate) struct ExactSearchStats {
     /// The postings budget cut the merge short (results are a sound
     /// subset of the exhaustive answer).
     pub(crate) budget_exhausted: bool,
-}
-
-/// The k-th best verified table score, once at least `k` tables scored.
-/// Shared by the partition planner and the cost-bounded exact search —
-/// both prune on "the k-th verified score strictly beats the bound".
-pub(crate) fn kth_best(best: &HashMap<&str, f64>, k: usize) -> Option<f64> {
-    if best.len() < k {
-        return None;
-    }
-    let mut scores: Vec<f64> = best.values().copied().collect();
-    scores.sort_by(|a, b| b.total_cmp(a));
-    scores.get(k - 1).copied()
-}
-
-/// Fold one exactly-resolved containment into the per-table best map,
-/// applying the same threshold / liveness / self-exclusion filters as the
-/// exhaustive merge.
-fn fold<'a>(
-    engine: &'a LshEnsembleDiscovery,
-    key: DomainKey,
-    c: f64,
-    exclude_table: &str,
-    best: &mut HashMap<&'a str, f64>,
-) {
-    if c + 1e-12 < engine.config.threshold {
-        return;
-    }
-    let Some(table) = engine.table_names.get(&key.0) else {
-        return;
-    };
-    if table == exclude_table {
-        return;
-    }
-    let entry = best.entry(table.as_str()).or_insert(0.0);
-    if c > *entry {
-        *entry = c;
-    }
 }
 
 /// Cost-bounded exact top-k over the engine's posting lists (module docs
@@ -152,26 +113,18 @@ pub(crate) fn exact_search<'a>(
         // posting merge verbatim.
         stats.verified = overlap.len();
         for (key, hits) in overlap {
-            fold(
-                engine,
-                key,
-                hits as f64 / q_len as f64,
-                exclude_table,
-                &mut best,
-            );
+            engine.fold(key, hits as f64 / q_len as f64, exclude_table, &mut best);
         }
         return (best, stats);
     }
 
-    // Truncated merge: finish the seen candidates by exact verification,
-    // best upper bound first. Each candidate's upper bound is capped by
-    // its own domain size — the unscanned lists can add at most one token
-    // each, but never lift the overlap past `|domain|` — so a small
+    // Truncated merge: finish the seen candidates by exact verification
+    // through the bounded kernel. Each candidate's upper bound is capped
+    // by its own domain size — the unscanned lists can add at most one
+    // token each, but never lift the overlap past `|domain|` — so a small
     // domain provably below threshold is dropped *unverified*: the same
     // filter the exhaustive merge applies only after paying to scan it.
-    // Domain keys break bound ties, keeping the verified prefix
-    // deterministic.
-    let mut ranked: Vec<(DomainKey, f64)> = overlap
+    let ranked: Vec<(DomainKey, f64)> = overlap
         .into_iter()
         .filter_map(|(key, partial)| {
             let dom_len = engine.domains.get(&key).map_or(partial, |d| d.len());
@@ -179,29 +132,15 @@ pub(crate) fn exact_search<'a>(
             (bound + 1e-12 >= engine.config.threshold).then_some((key, bound))
         })
         .collect();
-    ranked.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    for (key, bound) in ranked {
-        // Optimality: strictly `>` so bound ties with the k-th verified
-        // score are still verified and tie-breaks stay exhaustive-exact.
-        if let Some(kth) = kth_best(&best, k) {
-            if kth > bound {
-                break;
-            }
+    let mut hits = Hits::new(k);
+    let run = bounded::best_first(&mut hits, ranked, usize::MAX, |key, hits| {
+        match engine.verify_candidates([key], q_ids, q_len, exclude_table, hits) {
+            0 => Visit::Skipped,
+            _ => Visit::Scored,
         }
-        let Some(domain) = engine.domains.get(&key) else {
-            continue;
-        };
-        stats.verified += 1;
-        let hits = q_ids.iter().filter(|id| domain.contains(id)).count();
-        fold(
-            engine,
-            key,
-            hits as f64 / q_len as f64,
-            exclude_table,
-            &mut best,
-        );
-    }
-    (best, stats)
+    });
+    stats.verified += run.scored;
+    (hits.into_map(), stats)
 }
 
 #[cfg(test)]

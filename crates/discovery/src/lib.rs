@@ -68,6 +68,7 @@
 
 #![deny(missing_docs)]
 
+mod bounded;
 mod cost;
 mod custom;
 mod index;

@@ -31,6 +31,7 @@ use std::collections::{HashMap, HashSet};
 use dialite_minhash::{LshEnsemble, LshEnsembleBuilder, MinHasher, Signature, SketchSnapshot};
 use dialite_table::{DataLake, Table};
 
+use crate::bounded::Hits;
 use crate::cost::{self, ExactSearchStats};
 use crate::pool::{StringPool, POOL_ID_DROPPED};
 use crate::shard::ShardScope;
@@ -490,16 +491,17 @@ impl LshEnsembleDiscovery {
     }
 
     /// Verify candidate domains exactly against their stored token-id sets,
-    /// folding each verified containment into the per-table best map.
-    /// Containment is `|Q ∩ X| / |Q|` over interned ids; scores below the
-    /// configured threshold (LSH false positives) are dropped.
+    /// folding each verified containment into a per-table best sink
+    /// ([`LshEnsembleDiscovery::fold`]). Containment is `|Q ∩ X| / |Q|`
+    /// over interned ids. Returns how many candidates were still indexed
+    /// (and so verified).
     pub(crate) fn verify_candidates<'a, I: IntoIterator<Item = DomainKey>>(
         &'a self,
         candidates: I,
         q_ids: &[u32],
         q_len: usize,
         exclude_table: &str,
-        best: &mut HashMap<&'a str, f64>,
+        best: &mut impl TableBest<'a>,
     ) -> usize {
         let mut verified = 0usize;
         for key in candidates {
@@ -508,22 +510,53 @@ impl LshEnsembleDiscovery {
             };
             verified += 1;
             let hits = q_ids.iter().filter(|id| domain.contains(id)).count();
-            let c = hits as f64 / q_len as f64;
-            if c + 1e-12 < self.config.threshold {
-                continue; // LSH false positive
-            }
-            let Some(table) = self.table_names.get(&key.0) else {
-                continue;
-            };
-            if table == exclude_table {
-                continue;
-            }
-            let entry = best.entry(table.as_str()).or_insert(0.0);
-            if c > *entry {
-                *entry = c;
-            }
+            self.fold(key, hits as f64 / q_len as f64, exclude_table, best);
         }
         verified
+    }
+
+    /// Fold one exactly resolved containment into a per-table best sink.
+    /// Scores below the configured threshold (LSH false positives),
+    /// retired slots and the query table itself are dropped.
+    pub(crate) fn fold<'a>(
+        &'a self,
+        key: DomainKey,
+        c: f64,
+        exclude_table: &str,
+        best: &mut impl TableBest<'a>,
+    ) {
+        if c + 1e-12 < self.config.threshold {
+            return;
+        }
+        let Some(table) = self.table_names.get(&key.0) else {
+            return;
+        };
+        if table != exclude_table {
+            best.keep(table.as_str(), c);
+        }
+    }
+}
+
+/// Where exactly verified containments fold, keeping each table's best:
+/// a plain map on the exhaustive paths, the bounded kernel's [`Hits`]
+/// window on the bounded ones.
+pub(crate) trait TableBest<'a> {
+    /// Keep `c` as `table`'s score if it beats the current one.
+    fn keep(&mut self, table: &'a str, c: f64);
+}
+
+impl<'a> TableBest<'a> for HashMap<&'a str, f64> {
+    fn keep(&mut self, table: &'a str, c: f64) {
+        let entry = self.entry(table).or_insert(0.0);
+        if c > *entry {
+            *entry = c;
+        }
+    }
+}
+
+impl<'a> TableBest<'a> for Hits<&'a str> {
+    fn keep(&mut self, table: &'a str, c: f64) {
+        self.offer(table, c);
     }
 }
 

@@ -20,20 +20,20 @@
 //!    the score is deliberately symmetric across columns.
 //!
 //! Retrieval follows the same **candidate-cap contract** as the SANTOS
-//! leg: under any finite cap, candidates are ranked by a sound upper bound
-//! and scored best-bound-first; `cap == usize::MAX` is the exhaustive
-//! full-header-scan oracle path the bounded path is pinned against
-//! (`tests/metadata_oracle.rs`).
+//! leg: a finite cap runs the bounded-retrieval kernel over header-overlap
+//! bounds; `cap == usize::MAX` is the exhaustive full-header-scan oracle
+//! path the bounded path is pinned against (`tests/metadata_oracle.rs`).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use dialite_table::{DataLake, Table};
 use dialite_text::{jaccard, word_tokens};
 
+use crate::bounded::{self, Hits, Stop, Visit};
 use crate::pool::StringPool;
-use crate::santos::{kth_best, push_topk, POOL_COMPACT_MIN};
+use crate::santos::POOL_COMPACT_MIN;
 use crate::shard::ShardScope;
-use crate::types::{top_k, Discovered, Discovery, TableQuery};
+use crate::types::{top_k, top_k_of, Discovered, Discovery, TableQuery};
 
 /// Configuration of the metadata (header-match) engine.
 #[derive(Debug, Clone)]
@@ -247,14 +247,10 @@ impl MetadataDiscovery {
     }
 
     /// [`Discovery::discover`] with a **candidate cap**: under any finite
-    /// `cap`, candidates are ranked by a cheap per-table *header-overlap
-    /// upper bound* on the full score and scored best-bound-first;
-    /// retrieval stops once `cap` candidates are scored, or earlier when
-    /// the k-th best kept score provably (strictly) beats every remaining
-    /// bound. Any finite `cap >= lake size` therefore equals the
-    /// exhaustive output exactly — tables the bound prunes can never enter
-    /// the top-k, and score ties are still scored so name tie-breaking is
-    /// preserved.
+    /// `cap`, candidates are bounded by their header-token overlap and
+    /// scored best-bound-first by the crate's bounded-retrieval kernel
+    /// (`bounded.rs`; contract in `ARCHITECTURE.md`), so any finite
+    /// `cap >= lake size` equals the exhaustive output exactly.
     ///
     /// `cap == usize::MAX` is the **exhaustive oracle path**: every
     /// indexed table is scored in slot order with no ranking or pruning
@@ -267,11 +263,7 @@ impl MetadataDiscovery {
     /// *table-level* header-token overlap the postings count
     /// (`Qj ∩ Cc ⊆ Q ∩ T` and `|Qj ∪ Cc| >= |Qj|`); an empty query column
     /// can reach `jaccard == 1` against an empty candidate header, so its
-    /// ceiling stays `1.0`. Candidates the postings never saw share the
-    /// zero-overlap bound and are ranked only when that bound could clear
-    /// the reporting filter at all — otherwise their true score fails the
-    /// same filter and they are exactly the tables the full scan would
-    /// drop too.
+    /// ceiling stays `1.0`.
     pub fn discover_capped(
         &self,
         query: &TableQuery,
@@ -312,92 +304,45 @@ impl MetadataDiscovery {
             return (top_k(scored, k), stats);
         }
 
-        // Table-level header overlap |Q ∩ T| via the posting index. Query
-        // tokens resolve through `get` (never interned: the query is not
-        // part of the lake); unknown tokens occur in no table and drop out.
-        let q_ids: HashSet<u32> = q_cols
-            .iter()
-            .flat_map(|col| col.iter())
-            .filter_map(|tok| self.pool.get(tok))
-            .collect();
-        let mut overlap: HashMap<u32, usize> = HashMap::new();
-        for id in &q_ids {
-            if let Some(list) = self.header_postings.get(id) {
-                for &slot in list {
-                    *overlap.entry(slot).or_insert(0) += 1;
-                }
-            }
-        }
-
-        let col_bound = |j: usize, ov: usize| -> f64 {
-            let qn = q_cols[j].len();
-            if qn == 0 {
-                // jaccard(∅, ∅) == 1: an empty candidate header matches an
-                // empty query header perfectly, overlap or not.
-                1.0
-            } else {
-                (ov as f64 / qn as f64).min(1.0)
-            }
-        };
-        let bound_for = |ov: usize| -> f64 {
-            let total: f64 = (0..q_cols.len()).map(|j| col_bound(j, ov)).sum();
-            total / q_cols.len() as f64
-        };
-
-        let mut ranked: Vec<(u32, f64)> = overlap
-            .iter()
-            .map(|(&slot, &ov)| (slot, bound_for(ov)))
-            .collect();
-        // Zero-overlap candidates can still score — through empty-column
-        // jaccard — so they enter the ranking whenever their shared bound
-        // could clear the reporting filter (`score >= min_score &&
-        // score > 0`).
-        let base_bound = bound_for(0);
-        if base_bound > 0.0 && base_bound >= self.config.min_score {
-            for &slot in self.tables.keys() {
-                if !overlap.contains_key(&slot) {
-                    ranked.push((slot, base_bound));
-                }
-            }
-        }
-        // Best bound first; slot index breaks ties so the scored prefix is
-        // deterministic even when the cap cuts inside a tie group.
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        let ranked = bounded::overlap_candidates(
+            &self.pool,
+            &self.header_postings,
+            q_cols.iter().flatten(),
+            self.tables.keys().copied(),
+            self.config.min_score,
+            |ov| {
+                let total: f64 = q_cols
+                    .iter()
+                    .map(|qc| match qc.len() {
+                        // jaccard(∅, ∅) == 1: an empty candidate header
+                        // matches an empty query header, overlap or not.
+                        0 => 1.0,
+                        qn => (ov as f64 / qn as f64).min(1.0),
+                    })
+                    .sum();
+                total / q_cols.len() as f64
+            },
+        );
         stats.candidates_retrieved = ranked.len();
 
-        let mut scored: Vec<Discovered> = Vec::new();
-        let mut kept: Vec<f64> = Vec::new();
-        for (pos, &(slot, bound)) in ranked.iter().enumerate() {
-            // Optimality bound: strictly `>` so bound ties with the k-th
-            // score are still scored and tie-breaks match the full scan
-            // exactly.
-            if let Some(kth) = kth_best(&kept, k) {
-                if kth > bound {
-                    stats.bound_pruned = ranked.len() - pos;
-                    break;
-                }
-            }
-            if stats.candidates_scored >= cap {
-                stats.cap_hit = true;
-                break;
-            }
+        let mut hits = Hits::new(k);
+        let run = bounded::best_first(&mut hits, ranked, cap, |slot, hits| {
             let Some(cand) = self.tables.get(&slot) else {
-                continue;
+                return Visit::Skipped;
             };
             if cand.name == query.table.name() {
-                continue; // the query itself, if it lives in the lake
+                return Visit::Skipped; // the query itself, if it lives in the lake
             }
-            stats.candidates_scored += 1;
             let score = self.score_candidate(&q_cols, cand);
             if score >= self.config.min_score && score > 0.0 {
-                push_topk(&mut kept, score, k);
-                scored.push(Discovered {
-                    table: cand.name.clone(),
-                    score,
-                });
+                hits.offer(cand.name.as_str(), score);
             }
-        }
-        (top_k(scored, k), stats)
+            Visit::Scored
+        });
+        stats.candidates_scored = run.scored;
+        stats.bound_pruned = run.pruned;
+        stats.cap_hit = run.stop == Stop::Cap;
+        (top_k_of(hits.into_map(), k), stats)
     }
 }
 

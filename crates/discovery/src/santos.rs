@@ -26,9 +26,10 @@ use dialite_kb::{Direction, KnowledgeBase, RelationId, TypeId};
 use dialite_table::{DataLake, Table};
 use dialite_text::jaccard;
 
+use crate::bounded::{self, Hits, Stop, Visit};
 use crate::pool::StringPool;
 use crate::shard::ShardScope;
-use crate::types::{score_cmp, top_k, Discovered, Discovery, TableQuery};
+use crate::types::{score_cmp, top_k, top_k_of, Discovered, Discovery, TableQuery};
 
 /// Floor on the retired-token weight before table removal may trigger
 /// compaction of the synthesized-signal token pool; keeps tiny lakes from
@@ -389,6 +390,20 @@ fn pair_rel(sem: &TableSemantics, a: usize, b: usize) -> Option<(RelationId, Dir
     }
 }
 
+/// The query's own pair confidence between the intent column and each
+/// column (0 at the intent): the ceiling of a candidate's edge agreement.
+fn edge_ceilings(q: &TableSemantics, intent: usize) -> Vec<f64> {
+    (0..q.columns.len())
+        .map(|j| {
+            if j == intent {
+                0.0
+            } else {
+                pair_rel(q, intent, j).map_or(0.0, |(_, _, c)| c)
+            }
+        })
+        .collect()
+}
+
 impl Discovery for SantosDiscovery {
     fn name(&self) -> &str {
         "santos"
@@ -399,44 +414,21 @@ impl Discovery for SantosDiscovery {
     }
 }
 
-/// The k-th best kept score once at least `k` candidates kept; `None`
-/// before that (no pruning is provable yet).
-pub(crate) fn kth_best(kept: &[f64], k: usize) -> Option<f64> {
-    (kept.len() >= k).then(|| kept[k - 1])
-}
-
-/// Insert a score into a descending top-k window (kept sorted, length
-/// capped at `k`).
-pub(crate) fn push_topk(kept: &mut Vec<f64>, score: f64, k: usize) {
-    let pos = kept.partition_point(|s| score_cmp(*s, score) == std::cmp::Ordering::Greater);
-    kept.insert(pos, score);
-    kept.truncate(k);
-}
-
 impl SantosDiscovery {
     /// [`Discovery::discover`] with a **candidate cap**: under any finite
-    /// `cap`, type-inverted-index candidates are ranked by a cheap
-    /// per-table *type-overlap upper bound* on the full graph-matching
-    /// score and scored best-bound-first; retrieval stops once `cap`
-    /// candidates are scored, or earlier when the k-th best kept score
-    /// provably (strictly) beats every remaining bound. Any finite
-    /// `cap >= lake size` therefore equals the exhaustive output exactly —
-    /// tables the bound prunes can never enter the top-k, and score ties
-    /// are still scored so name tie-breaking is preserved — pinned against
-    /// the exhaustive oracle by `tests/santos_cap_recall.rs`.
+    /// `cap`, candidates are bounded and scored best-bound-first by the
+    /// crate's bounded-retrieval kernel (`bounded.rs`; contract in
+    /// `ARCHITECTURE.md`), so any finite `cap >= lake size` equals the
+    /// exhaustive output exactly — pinned by `tests/santos_cap_recall.rs`.
+    /// Typed queries retrieve from the type inverted index, bounded by
+    /// type overlap; typeless (KB-poor) queries retrieve from the
+    /// synthesized-signal token → table posting index, bounded by token
+    /// overlap.
     ///
     /// `cap == usize::MAX` is the **exhaustive oracle path**: every
     /// retrieved candidate is scored with no ranking or pruning, exactly
-    /// the pre-cap engine (and what [`Discovery::discover`] runs) — the
-    /// baseline the capped path's equality and recall are measured
-    /// against.
-    ///
-    /// Queries with no usable annotations (typeless, KB-poor) rank
-    /// candidates by a synthesized-signal upper bound from the token →
-    /// table posting index instead: under any finite `cap` they get the
-    /// same best-bound-first shape as typed queries, while
-    /// `cap == usize::MAX` keeps the exhaustive full scan as the typeless
-    /// oracle path (`full_scan` in the stats).
+    /// the pre-cap engine (and what [`Discovery::discover`] runs) — a
+    /// full scan for typeless queries (`full_scan` in the stats).
     pub fn discover_capped(
         &self,
         query: &TableQuery,
@@ -452,7 +444,6 @@ impl SantosDiscovery {
             .effective_column()
             .min(q_sem.columns.len().saturating_sub(1));
 
-        let qcols = q_sem.columns.len();
         let any_types = q_sem.columns.iter().any(|c| !c.types.is_empty());
         if !any_types {
             if cap == usize::MAX {
@@ -476,10 +467,7 @@ impl SantosDiscovery {
                 }
                 return (top_k(scored, k), stats);
             }
-            return self.discover_typeless_capped(query, &q_sem, intent, k, cap, stats);
-        }
-
-        if cap == usize::MAX {
+        } else if cap == usize::MAX {
             // Exhaustive oracle path: retrieve candidate slots only (no
             // per-candidate bound rows — the trait `discover` path stays
             // allocation-light) and score every one of them, exactly the
@@ -514,9 +502,53 @@ impl SantosDiscovery {
             return (top_k(scored, k), stats);
         }
 
-        // Finite cap: retrieval remembers per (query column, candidate)
-        // the best confidence of a shared type — the raw material of the
-        // bound.
+        // Finite cap: bound the candidates, then score them through the
+        // bounded kernel (`bounded.rs`).
+        let edge_conf = edge_ceilings(&q_sem, intent);
+        let ranked = if any_types {
+            self.typed_candidates(&q_sem, intent, &edge_conf)
+        } else {
+            self.typeless_candidates(&q_sem, intent, &edge_conf)
+        };
+        stats.candidates_retrieved = ranked.len();
+        let mut hits = Hits::new(k);
+        let run = bounded::best_first(&mut hits, ranked, cap, |slot, hits| {
+            let Some(cand) = self.tables.get(&slot) else {
+                return Visit::Skipped;
+            };
+            if cand.name == query.table.name() {
+                return Visit::Skipped; // the query itself, if it lives in the lake
+            }
+            let score = self.score_candidate(&q_sem, intent, cand);
+            if score >= self.config.min_score && score > 0.0 {
+                hits.offer(cand.name.as_str(), score);
+            }
+            Visit::Scored
+        });
+        stats.candidates_scored = run.scored;
+        stats.cap_hit = run.stop == Stop::Cap;
+        if any_types {
+            stats.bound_pruned = run.pruned;
+        } else {
+            stats.typeless_pruned = run.pruned;
+        }
+        (top_k_of(hits.into_map(), k), stats)
+    }
+
+    /// Typed candidates from the type inverted index. Per query column
+    /// `j` the best candidate-column similarity is at most the best
+    /// shared-type confidence; the synthesized fallback (≤ synth_weight)
+    /// stays reachable when the query column is untyped or the candidate
+    /// has an untyped column.
+    fn typed_candidates(
+        &self,
+        q_sem: &TableSemantics,
+        intent: usize,
+        edge_conf: &[f64],
+    ) -> Vec<(u32, f64)> {
+        // Per (query column, candidate): the best confidence of a shared
+        // type — the raw material of the bound.
+        let qcols = edge_conf.len();
         let mut type_bounds: HashMap<u32, Vec<f64>> = HashMap::new();
         for (j, col) in q_sem.columns.iter().enumerate() {
             for (t, qconf) in &col.types {
@@ -530,227 +562,69 @@ impl SantosDiscovery {
                 }
             }
         }
-
-        // Upper-bound each candidate's achievable score. Per query column
-        // `j` the best candidate-column similarity is at most the best
-        // shared-type confidence; the synthesized fallback (≤ synth_weight)
-        // stays reachable when the query column is untyped or the
-        // candidate has an untyped column. Edge agreement is at most the
-        // query's own pair confidence. Mirrors `score_candidate`'s
-        // normalization exactly, so `bound >= score` always holds.
         let synth = self.config.synth_weight.max(0.0);
-        let edge_w = self.config.edge_weight.max(0.0);
-        let node_w = (1.0 - self.config.edge_weight).max(0.0);
-        let edge_conf: Vec<f64> = (0..qcols)
-            .map(|j| {
-                if j == intent {
-                    return 0.0;
-                }
-                pair_rel(&q_sem, intent, j)
-                    .map(|(_, _, c)| c)
-                    .unwrap_or(0.0)
-            })
-            .collect();
-        let mut ranked: Vec<(u32, f64)> = type_bounds
+        type_bounds
             .into_iter()
             .filter_map(|(slot, per_col)| {
                 let cand = self.tables.get(&slot)?;
-                let ub = |j: usize| {
+                let bound = self.score_bound(intent, edge_conf, |j| {
                     if q_sem.columns[j].types.is_empty() || cand.has_untyped_column {
                         per_col[j].max(synth)
                     } else {
                         per_col[j]
                     }
-                };
-                let bound = if qcols == 1 {
-                    ub(intent)
-                } else {
-                    let rest: f64 = (0..qcols)
-                        .filter(|&j| j != intent)
-                        .map(|j| node_w * ub(j) + edge_w * edge_conf[j])
-                        .sum();
-                    (ub(intent) + rest) / qcols as f64
-                };
+                });
                 Some((slot, bound))
             })
-            .collect();
-        // Best bound first; slot index breaks ties so the scored prefix is
-        // deterministic even when the cap cuts inside a tie group.
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        stats.candidates_retrieved = ranked.len();
-
-        let mut scored: Vec<Discovered> = Vec::new();
-        let mut kept: Vec<f64> = Vec::new();
-        for (pos, &(slot, bound)) in ranked.iter().enumerate() {
-            // Optimality bound: strictly `>` so bound ties with the k-th
-            // score are still scored and tie-breaks match the uncapped
-            // output exactly.
-            if let Some(kth) = kth_best(&kept, k) {
-                if kth > bound {
-                    stats.bound_pruned = ranked.len() - pos;
-                    break;
-                }
-            }
-            if stats.candidates_scored >= cap {
-                stats.cap_hit = true;
-                break;
-            }
-            let Some(cand) = self.tables.get(&slot) else {
-                continue;
-            };
-            if cand.name == query.table.name() {
-                continue; // the query itself, if it lives in the lake
-            }
-            stats.candidates_scored += 1;
-            let score = self.score_candidate(&q_sem, intent, cand);
-            if score >= self.config.min_score && score > 0.0 {
-                push_topk(&mut kept, score, k);
-                scored.push(Discovered {
-                    table: cand.name.clone(),
-                    score,
-                });
-            }
-        }
-        (top_k(scored, k), stats)
+            .collect()
     }
 
-    /// Bounded retrieval for typeless queries: candidates are ranked by a
-    /// synthesized-signal upper bound computed from the token → table
-    /// posting index and scored best-bound-first, stopping at the cap or
-    /// when the k-th best kept score provably (strictly) beats every
-    /// remaining bound.
-    ///
-    /// The bound mirrors `score_candidate`'s normalization with each
-    /// column similarity replaced by its ceiling: a typeless query column
-    /// always scores through `synth_weight * jaccard`, and
-    /// `jaccard(Qj, C) <= min(1, |Q ∩ T| / |Qj|)` where `|Q ∩ T|` is the
-    /// table-level token overlap the postings count (an empty query
-    /// column can reach `jaccard == 1` against an empty candidate column,
-    /// so its ceiling stays the full `synth_weight`). Edge agreement is at
-    /// most the query's own pair confidence. Candidates the postings never
-    /// saw share the zero-overlap bound and are ranked only when that
-    /// bound could clear the reporting filter at all — otherwise their
-    /// true score fails the same filter. Any finite `cap >= lake size`
-    /// therefore equals the full-scan oracle exactly (order and
-    /// tie-breaks included), pinned by `tests/cost_oracle.rs`.
-    fn discover_typeless_capped(
+    /// Typeless candidates from the synthesized-signal token → table
+    /// posting index. A typeless query column always scores through
+    /// `synth_weight * jaccard`, and `jaccard(Qj, C) <= min(1, |Q ∩ T| /
+    /// |Qj|)` where `|Q ∩ T|` is the table-level token overlap the
+    /// postings count (an empty query column can reach `jaccard == 1`
+    /// against an empty candidate column, so its ceiling stays the full
+    /// `synth_weight`). Covering caps equal the full scan exactly, pinned
+    /// by `tests/cost_oracle.rs`.
+    fn typeless_candidates(
         &self,
-        query: &TableQuery,
         q_sem: &TableSemantics,
         intent: usize,
-        k: usize,
-        cap: usize,
-        mut stats: SantosStats,
-    ) -> (Vec<Discovered>, SantosStats) {
-        let qcols = q_sem.columns.len();
+        edge_conf: &[f64],
+    ) -> Vec<(u32, f64)> {
         let synth = self.config.synth_weight.max(0.0);
+        bounded::overlap_candidates(
+            &self.pool,
+            &self.token_postings,
+            q_sem.columns.iter().flat_map(|col| col.tokens.iter()),
+            self.tables.keys().copied(),
+            self.config.min_score,
+            |ov| {
+                self.score_bound(intent, edge_conf, |j| match q_sem.columns[j].tokens.len() {
+                    0 => synth,
+                    qn => synth * (ov as f64 / qn as f64).min(1.0),
+                })
+            },
+        )
+    }
+
+    /// Ceiling of [`Self::score_candidate`] for a candidate whose
+    /// similarity to query column `j` is at most `col_ub(j)`: the score's
+    /// own normalization, with edge agreement at most the query's own
+    /// pair confidence `edge_conf[j]` — so `bound >= score` always holds.
+    fn score_bound(&self, intent: usize, edge_conf: &[f64], col_ub: impl Fn(usize) -> f64) -> f64 {
+        let qcols = edge_conf.len();
+        if qcols == 1 {
+            return col_ub(intent);
+        }
         let edge_w = self.config.edge_weight.max(0.0);
         let node_w = (1.0 - self.config.edge_weight).max(0.0);
-        let edge_conf: Vec<f64> = (0..qcols)
-            .map(|j| {
-                if j == intent {
-                    return 0.0;
-                }
-                pair_rel(q_sem, intent, j).map(|(_, _, c)| c).unwrap_or(0.0)
-            })
-            .collect();
-
-        // Table-level token overlap |Q ∩ T| via the posting index. Query
-        // tokens resolve through `get` (never interned: the query is not
-        // part of the lake); unknown tokens occur in no table and drop out.
-        let q_ids: HashSet<u32> = q_sem
-            .columns
-            .iter()
-            .flat_map(|col| col.tokens.iter())
-            .filter_map(|tok| self.pool.get(tok))
-            .collect();
-        let mut overlap: HashMap<u32, usize> = HashMap::new();
-        for id in &q_ids {
-            if let Some(list) = self.token_postings.get(id) {
-                for &slot in list {
-                    *overlap.entry(slot).or_insert(0) += 1;
-                }
-            }
-        }
-
-        let col_bound = |j: usize, ov: usize| -> f64 {
-            let qn = q_sem.columns[j].tokens.len();
-            if qn == 0 {
-                // jaccard(∅, ∅) == 1: an empty candidate column matches an
-                // empty query column perfectly, overlap or not.
-                synth
-            } else {
-                synth * (ov as f64 / qn as f64).min(1.0)
-            }
-        };
-        let bound_for = |ov: usize| -> f64 {
-            if qcols == 1 {
-                col_bound(intent, ov)
-            } else {
-                let rest: f64 = (0..qcols)
-                    .filter(|&j| j != intent)
-                    .map(|j| node_w * col_bound(j, ov) + edge_w * edge_conf[j])
-                    .sum();
-                (col_bound(intent, ov) + rest) / qcols as f64
-            }
-        };
-
-        let mut ranked: Vec<(u32, f64)> = overlap
-            .iter()
-            .map(|(&slot, &ov)| (slot, bound_for(ov)))
-            .collect();
-        // Zero-overlap candidates can still score — through pair-edge
-        // agreement, or empty-column jaccard — so they enter the ranking
-        // whenever their shared bound could clear the reporting filter
-        // (`score >= min_score && score > 0`). Below it, their true score
-        // fails the same filter and they are exactly the candidates the
-        // full scan would drop too.
-        let base_bound = bound_for(0);
-        if base_bound > 0.0 && base_bound >= self.config.min_score {
-            for &slot in self.tables.keys() {
-                if !overlap.contains_key(&slot) {
-                    ranked.push((slot, base_bound));
-                }
-            }
-        }
-        // Best bound first; slot index breaks ties so the scored prefix is
-        // deterministic even when the cap cuts inside a tie group.
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        stats.candidates_retrieved = ranked.len();
-
-        let mut scored: Vec<Discovered> = Vec::new();
-        let mut kept: Vec<f64> = Vec::new();
-        for (pos, &(slot, bound)) in ranked.iter().enumerate() {
-            // Optimality bound: strictly `>` so bound ties with the k-th
-            // score are still scored and tie-breaks match the full scan
-            // exactly.
-            if let Some(kth) = kth_best(&kept, k) {
-                if kth > bound {
-                    stats.typeless_pruned = ranked.len() - pos;
-                    break;
-                }
-            }
-            if stats.candidates_scored >= cap {
-                stats.cap_hit = true;
-                break;
-            }
-            let Some(cand) = self.tables.get(&slot) else {
-                continue;
-            };
-            if cand.name == query.table.name() {
-                continue; // the query itself, if it lives in the lake
-            }
-            stats.candidates_scored += 1;
-            let score = self.score_candidate(q_sem, intent, cand);
-            if score >= self.config.min_score && score > 0.0 {
-                push_topk(&mut kept, score, k);
-                scored.push(Discovered {
-                    table: cand.name.clone(),
-                    score,
-                });
-            }
-        }
-        (top_k(scored, k), stats)
+        let rest: f64 = (0..qcols)
+            .filter(|&j| j != intent)
+            .map(|j| node_w * col_ub(j) + edge_w * edge_conf[j])
+            .sum();
+        (col_ub(intent) + rest) / qcols as f64
     }
 
     fn score_candidate(&self, q: &TableSemantics, intent: usize, cand: &TableSemantics) -> f64 {

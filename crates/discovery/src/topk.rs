@@ -14,13 +14,12 @@
 //!    proxy: a cached signature stays valid across arbitrary lake churn
 //!    (signatures depend only on the hash family and the tokens) and
 //!    invalidates itself the moment the query column's content changes.
-//! 2. **Partition schedule.** Partitions are probed best-bound-first
-//!    ([`LshEnsemble::probe_plan`](dialite_minhash::LshEnsemble::probe_plan)):
-//!    each partition's upper size bound caps the containment any of its
-//!    domains can achieve. Partitions whose bound is below the threshold
-//!    are never probed, and the search stops as soon as the k-th best
-//!    verified table score strictly beats the best possible score of every
-//!    unprobed partition.
+//! 2. **Partition schedule.** Partitions are the bounded-retrieval
+//!    kernel's candidates (`bounded.rs`), bounded by their upper size
+//!    bound ([`LshEnsemble::probe_plan`](dialite_minhash::LshEnsemble::probe_plan)):
+//!    no domain in a partition can beat it. Partitions whose bound is below
+//!    the threshold are never probed; the partition budget is the kernel's
+//!    cap and the verification budget its scorer's own budget.
 //! 3. **Posting-list verification.** Candidates are verified exactly
 //!    against interned token-id sets; small and mid-size queries skip the
 //!    sketch entirely and are answered exactly by the cost-bounded
@@ -44,9 +43,9 @@ use std::sync::Mutex;
 use dialite_minhash::Signature;
 use dialite_text::fnv1a64;
 
-use crate::cost::kth_best;
+use crate::bounded::{self, Hits, Stop, Visit};
 use crate::lshe::{DomainKey, LshEnsembleDiscovery};
-use crate::types::{top_k, Discovered, TableQuery};
+use crate::types::{top_k_of, Discovered, TableQuery};
 
 /// Per-query work limits for [`TopKPlanner::discover_top_k`].
 ///
@@ -520,7 +519,7 @@ impl TopKPlanner {
             stats.candidates_verified += exact.verified;
             stats.postings_skipped += exact.postings_skipped;
             stats.budget_exhausted |= exact.budget_exhausted;
-            return (finish(best, k), stats);
+            return (top_k_of(best, k), stats);
         }
 
         let sig = self.signature_for(engine, exclude, col, &q_tokens, &mut stats);
@@ -528,59 +527,49 @@ impl TopKPlanner {
         // Fresh-churn safety first: staged domains are verified exactly,
         // always, outside any budget — a just-added table must never be a
         // false negative.
-        let mut best: HashMap<&str, f64> = HashMap::new();
+        let mut hits = Hits::new(k);
         let mut seen: HashSet<DomainKey> = engine.ensemble.staged_keys().copied().collect();
-        engine.verify_candidates(seen.iter().copied(), &q_ids, q_len, exclude, &mut best);
+        engine.verify_candidates(seen.iter().copied(), &q_ids, q_len, exclude, &mut hits);
 
+        // Partitions are the kernel's candidates, bounded by their best
+        // possible containment. Those below the threshold can hold no
+        // reportable domain and are never probed; a probe verifies its
+        // fresh candidates until the verification budget is spent.
         let plan = engine.ensemble.probe_plan(q_len);
-        let mut remaining = plan.len();
-        for probe in &plan {
-            // Threshold bound: nothing in this (or any later, since the
-            // plan is bound-descending) partition can verify ≥ threshold.
-            if probe.max_containment + 1e-12 < threshold {
-                stats.partitions_pruned += remaining;
-                break;
-            }
-            // Optimality bound: the k-th best verified table score strictly
-            // beats anything an unprobed partition could hold. `>` (not
-            // `>=`) so score ties are still probed and name tie-breaking
-            // matches the probe-all path exactly.
-            if let Some(kth) = kth_best(&best, k) {
-                if kth > probe.max_containment {
-                    stats.partitions_pruned += remaining;
-                    stats.terminated_early = true;
-                    break;
-                }
-            }
-            if stats.partitions_probed >= budget.max_partitions {
-                stats.partitions_pruned += remaining;
-                stats.budget_exhausted = true;
-                break;
-            }
-            stats.partitions_probed += 1;
-            remaining -= 1;
-
-            let mut fresh: Vec<DomainKey> = engine
-                .ensemble
-                .query_partition(probe.partition, &sig, q_len, threshold)
-                .into_iter()
-                .filter(|key| seen.insert(*key))
-                .collect();
-            let verify_left = budget
-                .max_verifications
-                .saturating_sub(stats.candidates_verified);
-            if fresh.len() > verify_left {
+        let probes: Vec<(usize, f64)> = plan
+            .iter()
+            .filter(|probe| probe.max_containment + 1e-12 >= threshold)
+            .map(|probe| (probe.partition, probe.max_containment))
+            .collect();
+        let mut verified = 0usize;
+        let run = bounded::best_first(
+            &mut hits,
+            probes,
+            budget.max_partitions,
+            |partition, hits| {
+                let mut fresh: Vec<DomainKey> = engine
+                    .ensemble
+                    .query_partition(partition, &sig, q_len, threshold)
+                    .into_iter()
+                    .filter(|key| seen.insert(*key))
+                    .collect();
+                let verify_left = budget.max_verifications.saturating_sub(verified);
+                let spent = fresh.len() > verify_left;
                 fresh.truncate(verify_left);
-                stats.budget_exhausted = true;
-            }
-            stats.candidates_verified +=
-                engine.verify_candidates(fresh, &q_ids, q_len, exclude, &mut best);
-            if stats.budget_exhausted {
-                stats.partitions_pruned += remaining;
-                break;
-            }
-        }
-        (finish(best, k), stats)
+                verified += engine.verify_candidates(fresh, &q_ids, q_len, exclude, hits);
+                if spent {
+                    Visit::BudgetSpent
+                } else {
+                    Visit::Scored
+                }
+            },
+        );
+        stats.candidates_verified += verified;
+        stats.partitions_probed = run.visited;
+        stats.partitions_pruned = plan.len() - run.visited;
+        stats.terminated_early = run.stop == Stop::Bound;
+        stats.budget_exhausted = run.stop == Stop::Cap;
+        (top_k_of(hits.into_map(), k), stats)
     }
 
     /// Cache-or-compute the query column's signature.
@@ -612,18 +601,6 @@ impl TopKPlanner {
             .insert(key, sig.clone());
         sig
     }
-}
-
-fn finish(best: HashMap<&str, f64>, k: usize) -> Vec<Discovered> {
-    top_k(
-        best.into_iter()
-            .map(|(t, s)| Discovered {
-                table: t.to_string(),
-                score: s,
-            })
-            .collect(),
-        k,
-    )
 }
 
 #[cfg(test)]

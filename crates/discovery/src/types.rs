@@ -82,6 +82,19 @@ pub(crate) fn top_k(mut candidates: Vec<Discovered>, k: usize) -> Vec<Discovered
     candidates
 }
 
+/// [`top_k`] over a per-table best-score map.
+pub(crate) fn top_k_of(best: std::collections::HashMap<&str, f64>, k: usize) -> Vec<Discovered> {
+    top_k(
+        best.into_iter()
+            .map(|(t, s)| Discovered {
+                table: t.to_string(),
+                score: s,
+            })
+            .collect(),
+        k,
+    )
+}
+
 /// Sort discovered candidates by descending score (NaN-safe, ties broken
 /// by table name for determinism) and truncate to `k` — the shared
 /// ranking every engine applies before returning. Public so downstream

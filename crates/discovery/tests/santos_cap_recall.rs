@@ -4,10 +4,12 @@
 //!
 //! Pinned guarantees, mirroring `lshe_recall.rs` for the joinable leg:
 //!
-//! * **Exactness at covering caps:** any finite `cap >= lake size` equals
-//!   the exhaustive output byte-for-byte (keys, scores, order,
-//!   tie-breaks) — the bound-soundness oracle for the type-overlap upper
-//!   bound and its early-termination rule.
+//! * **Exactness at covering caps:** over random type-dense lakes, any
+//!   finite `cap >= lake size` equals the exhaustive output byte-for-byte
+//!   (keys, scores, order, tie-breaks) — the bound-soundness oracle for
+//!   the type-overlap upper bound and its early-termination rule — and a
+//!   binding cap returns a subset of the exhaustive answer at exact
+//!   scores.
 //! * **Recall floor at the default cap:** top-k recall against the
 //!   exhaustive oracle stays ≥ 0.9 (the workload's printed baseline is
 //!   recorded in ROADMAP Open items).
@@ -15,12 +17,13 @@
 //!   than the exhaustive path on the type-dense lake — the whole point of
 //!   the cap.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use dialite_datagen::workloads::SantosWorkload;
 use dialite_discovery::{DiscoveryBudget, SantosConfig, SantosDiscovery, TableQuery};
 use dialite_table::DataLake;
+use proptest::prelude::*;
 
 const K: usize = 10;
 
@@ -37,23 +40,52 @@ fn build(trace: &dialite_datagen::SantosTrace) -> (DataLake, SantosDiscovery) {
     (lake, engine)
 }
 
-#[test]
-fn covering_cap_equals_exhaustive_exactly() {
-    let trace = workload().generate();
-    let (lake, engine) = build(&trace);
-    for q in &trace.queries {
-        let query = TableQuery::with_column(q.clone(), 0);
-        for k in [1, K, 50] {
-            let (exhaustive, _) = engine.discover_capped(&query, k, usize::MAX);
-            let (capped, stats) = engine.discover_capped(&query, k, lake.len());
-            assert_eq!(
-                capped,
-                exhaustive,
-                "cap covering the lake must be exact for {} at k={k}",
-                q.name()
-            );
-            assert!(!stats.cap_hit, "covering cap must never bind: {stats:?}");
-            assert!(!stats.full_scan, "typed queries must use the type index");
+proptest! {
+    /// Covering caps are exact and tight caps sound, over random lakes:
+    /// on a type-dense lake small enough for CI, any cap covering the lake
+    /// equals the exhaustive output byte-for-byte, and a binding cap
+    /// returns a subset of the exhaustive answer at exact scores.
+    #[test]
+    fn covering_cap_equals_exhaustive_exactly(seed in any::<u64>()) {
+        let trace = SantosWorkload {
+            tables: 80,
+            queries: 3,
+            seed,
+            ..SantosWorkload::default()
+        }
+        .generate();
+        let (lake, engine) = build(&trace);
+        for q in &trace.queries {
+            let query = TableQuery::with_column(q.clone(), 0);
+            let full: HashMap<String, f64> = engine
+                .discover_capped(&query, usize::MAX, usize::MAX)
+                .0
+                .into_iter()
+                .map(|d| (d.table, d.score))
+                .collect();
+            for k in [1, K, 50] {
+                let (exhaustive, _) = engine.discover_capped(&query, k, usize::MAX);
+                let (capped, stats) = engine.discover_capped(&query, k, lake.len());
+                prop_assert_eq!(
+                    &capped,
+                    &exhaustive,
+                    "cap covering the lake must be exact for {} at k={}",
+                    q.name(),
+                    k
+                );
+                prop_assert!(!stats.cap_hit, "covering cap must never bind: {:?}", stats);
+                prop_assert!(!stats.full_scan, "typed queries must use the type index");
+                let (tight, _) = engine.discover_capped(&query, k, 2);
+                prop_assert!(tight.len() <= k.min(2));
+                for d in &tight {
+                    prop_assert_eq!(
+                        full.get(&d.table),
+                        Some(&d.score),
+                        "tight-cap hit {} must carry its exact score",
+                        &d.table
+                    );
+                }
+            }
         }
     }
 }
