@@ -1,6 +1,7 @@
 //! Criterion bench for the sketching substrate: MinHash signature
-//! generation and LSH Ensemble queries (the per-partition parameter-tuning
-//! ablation of DESIGN.md §5).
+//! generation, LSH Ensemble banding (the index build from precomputed
+//! signatures), and LSH Ensemble queries (the per-partition
+//! parameter-tuning ablation of DESIGN.md §5).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dialite_minhash::{LshEnsembleBuilder, MinHasher};
@@ -22,6 +23,31 @@ fn bench_minhash(c: &mut Criterion) {
             |b, _| b.iter(|| hasher.signature(toks.iter().map(String::as_str))),
         );
     }
+
+    // Ensemble build from precomputed signatures: 4,096 domains at the
+    // discovery default of 256 permutations and 8 partitions, so the
+    // measured time is the partition banding alone.
+    let hasher = MinHasher::new(256, 3);
+    let signed: Vec<(String, usize, _)> = (0..4096)
+        .map(|d| {
+            let toks = tokens(8 + d % 120, &format!("b{d}_"));
+            let sig = hasher.signature(toks.iter().map(String::as_str));
+            (format!("dom{d}"), toks.len(), sig)
+        })
+        .collect();
+    group.bench_with_input(
+        BenchmarkId::new("ensemble-build", 4096),
+        &8usize,
+        |b, &parts| {
+            b.iter(|| {
+                let mut builder = LshEnsembleBuilder::new(256, 3);
+                for (key, size, sig) in &signed {
+                    builder.insert_signature(key.clone(), *size, sig.clone());
+                }
+                builder.build(parts)
+            })
+        },
+    );
 
     // Ensemble query over 512 indexed domains, with 1 vs 8 partitions
     // (the single-partition configuration is the no-partitioning ablation).

@@ -2,11 +2,12 @@
 //! incrementally maintainable.
 //!
 //! Domains (column value sets) are partitioned by set size (equi-depth).
-//! Each partition materializes banding tables for every power-of-two row
-//! count `r ≤ num_perm`. A containment query converts its threshold into a
-//! per-partition Jaccard threshold using the partition's upper size bound,
-//! picks the (near-)optimal `(b, r)` for that threshold among the
-//! materialized `r` values, and probes `b` bands.
+//! Each partition bands every domain at every power-of-two row count
+//! `r ≤ num_perm`, all into one arena band table (see `band.rs`). A
+//! containment query converts its threshold into a per-partition Jaccard
+//! threshold using the partition's upper size bound, picks the
+//! (near-)optimal `(b, r)` for that threshold among the materialized `r`
+//! values, and probes `b` bands.
 //!
 //! **Mutation.** The built index supports churn without O(lake) rebuilds:
 //! [`LshEnsemble::insert`] stages a new domain into the best-fitting
@@ -29,8 +30,7 @@
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 
-use dialite_text::fnv1a64;
-
+use crate::band::BandTable;
 use crate::hasher::{MinHasher, Signature};
 use crate::params::{containment_to_jaccard, optimal_params_restricted};
 
@@ -38,20 +38,11 @@ use crate::params::{containment_to_jaccard, optimal_params_restricted};
 /// tombstoned) before a mutation triggers re-partitioning.
 pub const DEFAULT_REBALANCE_THRESHOLD: f64 = 0.25;
 
-fn band_hash(r: usize, band_idx: usize, slots: &[u64]) -> u64 {
-    let mut bytes = Vec::with_capacity(16 + slots.len() * 8);
-    bytes.extend_from_slice(&(r as u64).to_le_bytes());
-    bytes.extend_from_slice(&(band_idx as u64).to_le_bytes());
-    for s in slots {
-        bytes.extend_from_slice(&s.to_le_bytes());
-    }
-    fnv1a64(&bytes)
-}
-
-struct REntry {
-    r: usize,
-    /// `num_perm / r` hash tables, one per band.
-    tables: Vec<HashMap<u64, Vec<u32>>>,
+/// The row counts the ensemble bands at: every power of two `≤ num_perm`.
+fn band_rows(num_perm: usize) -> Vec<usize> {
+    std::iter::successors(Some(1usize), |r| Some(r * 2))
+        .take_while(|&r| r <= num_perm)
+        .collect()
 }
 
 struct Partition<K> {
@@ -59,77 +50,82 @@ struct Partition<K> {
     /// Jaccard conversion).
     upper: usize,
     lower: usize,
+    /// Posting id → key. A replaced key holds two ids until the next
+    /// rebalance; queries dedupe by key.
     keys: Vec<K>,
-    r_entries: Vec<REntry>,
+    /// Every `(r, band)` bucket of every domain in the partition.
+    bands: BandTable,
 }
 
 impl<K: Clone + Eq + Hash> Partition<K> {
-    fn empty(lower: usize, upper: usize, num_perm: usize, rs: &[usize]) -> Partition<K> {
+    /// An empty partition with room for `domains` domains of
+    /// `bands_per_domain` band postings each.
+    fn with_capacity(
+        lower: usize,
+        upper: usize,
+        domains: usize,
+        bands_per_domain: usize,
+    ) -> Partition<K> {
         Partition {
             upper,
             lower,
-            keys: Vec::new(),
-            r_entries: rs
-                .iter()
-                .map(|&r| REntry {
-                    r,
-                    tables: vec![HashMap::new(); num_perm / r],
-                })
-                .collect(),
+            keys: Vec::with_capacity(domains),
+            bands: BandTable::with_capacity(domains * bands_per_domain),
         }
     }
 
-    fn insert(&mut self, key: K, sig: &Signature) {
+    /// Band one domain. Build, staged insert and rebalance all land here.
+    fn insert(&mut self, key: K, sig: &Signature, rs: &[usize]) {
         let id = self.keys.len() as u32;
         self.keys.push(key);
-        for re in &mut self.r_entries {
-            for (band, table) in re.tables.iter_mut().enumerate() {
-                let lo = band * re.r;
-                let h = band_hash(re.r, band, &sig.0[lo..lo + re.r]);
-                table.entry(h).or_default().push(id);
-            }
+        for &r in rs {
+            self.bands.insert(id, &sig.0, sig.len() / r, r);
         }
     }
 
     fn query(&self, sig: &Signature, b: usize, r: usize, hits: &mut HashSet<K>) {
-        let Some(re) = self.r_entries.iter().find(|re| re.r == r) else {
-            return;
-        };
-        for band in 0..b.min(re.tables.len()) {
-            let lo = band * r;
-            let h = band_hash(r, band, &sig.0[lo..lo + r]);
-            if let Some(ids) = re.tables[band].get(&h) {
-                hits.extend(ids.iter().map(|&id| self.keys[id as usize].clone()));
-            }
-        }
+        hits.extend(
+            self.bands
+                .probe(&sig.0, b, r)
+                .map(|id| self.keys[id as usize].clone()),
+        );
     }
 }
 
-/// Equi-depth partitioning over `(key, size, signature)` entries sorted by
-/// `(size, key)` — shared by the builder and by incremental rebalances so
-/// both produce the identical canonical layout.
+/// Equi-depth partitioning over borrowed `(key, size, signature)` entries
+/// sorted by `(size, key)` — shared by the builder and by incremental
+/// rebalances so both produce the identical canonical layout.
 fn partition_entries<K: Clone + Eq + Hash>(
-    entries: &[(K, usize, Signature)],
+    entries: &[(&K, usize, &Signature)],
     num_partitions: usize,
-    num_perm: usize,
     rs: &[usize],
 ) -> Vec<Partition<K>> {
-    let n = entries.len();
-    let mut partitions = Vec::new();
-    if n > 0 {
-        let per = n.div_ceil(num_partitions.max(1));
-        for chunk in entries.chunks(per) {
-            let lower = chunk.first().map(|e| e.1).unwrap_or(0);
-            let upper = chunk.last().map(|e| e.1).unwrap_or(0);
-            let mut p = Partition::empty(lower, upper, num_perm, rs);
-            p.keys.reserve(chunk.len());
-            for (key, _, sig) in chunk {
-                p.insert(key.clone(), sig);
-            }
-            partitions.push(p);
-        }
+    if entries.is_empty() {
+        return Vec::new();
     }
-    partitions
+    let per = entries.len().div_ceil(num_partitions.max(1));
+    let num_perm = entries[0].2.len();
+    let bands_per_domain = rs.iter().map(|r| num_perm / r).sum();
+    entries
+        .chunks(per)
+        .map(|chunk| {
+            let (lower, upper) = (chunk[0].1, chunk[chunk.len() - 1].1);
+            let mut p = Partition::with_capacity(lower, upper, chunk.len(), bands_per_domain);
+            for &(key, _, sig) in chunk {
+                p.insert(key.clone(), sig, rs);
+            }
+            p
+        })
+        .collect()
+}
+
+/// Borrow `(key, size, signature)` entries in canonical `(size, key)` order.
+fn canonical_order<'a, K: Ord + 'a>(
+    entries: impl Iterator<Item = (&'a K, usize, &'a Signature)>,
+) -> Vec<(&'a K, usize, &'a Signature)> {
+    let mut sorted: Vec<_> = entries.collect();
+    sorted.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(b.0)));
+    sorted
 }
 
 /// Accumulates domains before partitioning. `K` is the domain key type.
@@ -154,12 +150,12 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsembleBuilder<K> {
         &self.hasher
     }
 
-    /// Hash and stage a domain under `key`.
+    /// Hash and stage a domain under `key`. Its size is the number of
+    /// distinct tokens: a repeated token counts once.
     pub fn insert_tokens<'a, I: IntoIterator<Item = &'a str>>(&mut self, key: K, tokens: I) {
-        let toks: Vec<&str> = tokens.into_iter().collect();
-        let size = toks.len();
-        let sig = self.hasher.signature(toks);
-        self.entries.push((key, size, sig));
+        let toks: HashSet<&str> = tokens.into_iter().collect();
+        let sig = self.hasher.signature(toks.iter().copied());
+        self.entries.push((key, toks.len(), sig));
     }
 
     /// Stage a pre-computed signature (size = domain cardinality).
@@ -179,14 +175,11 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsembleBuilder<K> {
     }
 
     /// Partition (equi-depth by size) and build the banding tables.
-    pub fn build(mut self, num_partitions: usize) -> LshEnsemble<K> {
+    pub fn build(self, num_partitions: usize) -> LshEnsemble<K> {
         let num_partitions = num_partitions.max(1);
-        self.entries
-            .sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
-        let rs: Vec<usize> = std::iter::successors(Some(1usize), |r| Some(r * 2))
-            .take_while(|&r| r <= self.num_perm)
-            .collect();
-        let partitions = partition_entries(&self.entries, num_partitions, self.num_perm, &rs);
+        let rs = band_rows(self.num_perm);
+        let sorted = canonical_order(self.entries.iter().map(|(k, size, sig)| (k, *size, sig)));
+        let partitions = partition_entries(&sorted, num_partitions, &rs);
         LshEnsemble {
             num_perm: self.num_perm,
             allowed_r: rs,
@@ -346,7 +339,7 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
         if self.entries.contains_key(&key) {
             self.remove(&key);
         }
-        self.entries.insert(key.clone(), (size, sig.clone()));
+        self.entries.insert(key.clone(), (size, sig));
         self.staged.insert(key.clone());
         // A re-inserted key must not stay suppressed by its own tombstone.
         // Postings of the *old* version may resurface as candidates until
@@ -367,7 +360,8 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
         let p = &mut self.partitions[idx];
         p.upper = p.upper.max(size);
         p.lower = p.lower.min(size);
-        p.insert(key, &sig);
+        let sig = &self.entries[&key].1;
+        p.insert(key, sig, &self.allowed_r);
         self.maybe_rebalance();
     }
 
@@ -417,18 +411,10 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
     /// (identical to a fresh build over the same entries), clearing all
     /// staged/tombstone state. `O(live domains)`.
     pub fn rebalance(&mut self) {
-        let mut entries: Vec<(K, usize, Signature)> = self
-            .entries
-            .iter()
-            .map(|(k, (size, sig))| (k.clone(), *size, sig.clone()))
-            .collect();
-        entries.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
-        self.partitions = partition_entries(
-            &entries,
-            self.num_partitions,
-            self.num_perm,
-            &self.allowed_r,
-        );
+        // Drop the old tables first: they are dead once we re-band.
+        self.partitions = Vec::new();
+        let sorted = canonical_order(self.entries.iter().map(|(k, (size, sig))| (k, *size, sig)));
+        self.partitions = partition_entries(&sorted, self.num_partitions, &self.allowed_r);
         self.staged.clear();
         self.tombstones.clear();
     }
@@ -460,13 +446,10 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
     /// signature, which is what lets a snapshot warm-start skip the
     /// per-token hashing pass entirely.
     pub fn export_entries(&self) -> Vec<(K, usize, Signature)> {
-        let mut entries: Vec<(K, usize, Signature)> = self
-            .entries
-            .iter()
-            .map(|(k, (size, sig))| (k.clone(), *size, sig.clone()))
-            .collect();
-        entries.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
-        entries
+        canonical_order(self.entries.iter().map(|(k, (size, sig))| (k, *size, sig)))
+            .into_iter()
+            .map(|(k, size, sig)| (k.clone(), size, sig.clone()))
+            .collect()
     }
 }
 
@@ -591,6 +574,20 @@ mod tests {
         assert_eq!(b.len(), 2);
         let index = b.build(8);
         assert_eq!(index.len(), 2);
+    }
+
+    #[test]
+    fn insert_tokens_sizes_a_domain_by_its_distinct_tokens() {
+        let mut b = LshEnsembleBuilder::new(64, 1);
+        b.insert_tokens("dup", ["x", "x", "y"]);
+        b.insert_tokens("set", ["y", "x"]);
+        let exported = b.build(1).export_entries();
+        let sizes: Vec<(&str, usize)> = exported.iter().map(|(k, n, _)| (*k, *n)).collect();
+        assert_eq!(sizes, vec![("dup", 2), ("set", 2)]);
+        assert_eq!(
+            exported[0].2, exported[1].2,
+            "duplicates do not move the signature"
+        );
     }
 
     #[test]

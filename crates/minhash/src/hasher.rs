@@ -59,14 +59,6 @@ impl MinHasher {
         self.work.load(Ordering::Relaxed)
     }
 
-    #[inline]
-    fn perm(&self, i: usize, x: u64) -> u64 {
-        // (a*x + b) mod p with p = 2^61-1 via 128-bit arithmetic.
-        let v = (u128::from(self.a[i]) * u128::from(x) + u128::from(self.b[i]))
-            % u128::from(MERSENNE_61);
-        v as u64
-    }
-
     /// Compute the signature of a set of string tokens.
     ///
     /// An empty set yields the all-`u64::MAX` signature, which estimates
@@ -76,14 +68,29 @@ impl MinHasher {
         let mut mins = vec![u64::MAX; self.a.len()];
         for tok in tokens {
             let x = fnv1a64(tok.as_bytes());
-            for (i, m) in mins.iter_mut().enumerate() {
-                let h = self.perm(i, x);
-                if h < *m {
-                    *m = h;
-                }
+            for ((m, &a), &b) in mins.iter_mut().zip(&self.a).zip(&self.b) {
+                *m = (*m).min(affine_mod_p(a, x, b));
             }
         }
         Signature(mins)
+    }
+}
+
+/// `(a·x + b) mod (2^61 − 1)` for `a, b < 2^61 − 1`, bit-identical to the
+/// `u128 %` reference. Since `2^61 ≡ 1 (mod p)`, folding the bits above
+/// bit 61 onto the low 61 bits preserves the residue: the first fold takes
+/// `v < 2^125` below `2^64 + 2^61`, the second below `p + 9`, and one
+/// conditional subtraction finishes.
+#[inline]
+fn affine_mod_p(a: u64, x: u64, b: u64) -> u64 {
+    let p = u128::from(MERSENNE_61);
+    let v = u128::from(a) * u128::from(x) + u128::from(b);
+    let v = (v & p) + (v >> 61);
+    let v = ((v & p) + (v >> 61)) as u64;
+    if v >= MERSENNE_61 {
+        v - MERSENNE_61
+    } else {
+        v
     }
 }
 
@@ -119,7 +126,43 @@ impl Signature {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::HashSet;
+
+    /// The reference arithmetic `affine_mod_p` replaces.
+    fn affine_mod_p_u128(a: u64, x: u64, b: u64) -> u64 {
+        ((u128::from(a) * u128::from(x) + u128::from(b)) % u128::from(MERSENNE_61)) as u64
+    }
+
+    const P: u64 = MERSENNE_61;
+
+    #[test]
+    fn fold_matches_u128_remainder_at_the_edges() {
+        for a in [1, 2, P - 2, P - 1] {
+            for x in [0, 1, P - 1, P, P + 1, u64::MAX - 1, u64::MAX] {
+                for b in [0, 1, P - 2, P - 1] {
+                    assert_eq!(
+                        affine_mod_p(a, x, b),
+                        affine_mod_p_u128(a, x, b),
+                        "{a} {x} {b}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn fold_matches_u128_remainder(
+            a in prop_oneof![Just(1u64), Just(P - 1), 1u64..P],
+            x in prop_oneof![Just(0u64), Just(P), Just(P + 1), Just(u64::MAX), any::<u64>()],
+            b in prop_oneof![Just(0u64), Just(P - 1), 0u64..P],
+        ) {
+            prop_assert_eq!(affine_mod_p(a, x, b), affine_mod_p_u128(a, x, b));
+        }
+    }
 
     fn sig_of(h: &MinHasher, items: &[&str]) -> Signature {
         h.signature(items.iter().copied())

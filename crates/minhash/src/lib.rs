@@ -13,8 +13,8 @@
 //!   Mersenne prime `2^61 - 1`. Signatures estimate Jaccard similarity.
 //! * [`LshIndex`] — classic banded LSH for a fixed Jaccard threshold.
 //! * [`LshEnsemble`] — the containment-search index: indexed domains are
-//!   partitioned by set size; each partition keeps banding tables for every
-//!   power-of-two row count, and at query time the containment threshold is
+//!   partitioned by set size; each partition bands its domains at every
+//!   power-of-two row count into one arena table, and at query time the containment threshold is
 //!   converted to a per-partition Jaccard threshold for which (near-)optimal
 //!   `(b, r)` parameters are chosen by minimizing the sum of false-positive
 //!   and false-negative probability integrals — the same construction as the
@@ -22,6 +22,7 @@
 
 #![deny(missing_docs)]
 
+mod band;
 mod ensemble;
 mod hasher;
 mod lsh;

@@ -1,22 +1,11 @@
 //! Classic banded LSH over MinHash signatures, for a fixed Jaccard
 //! threshold.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-use dialite_text::fnv1a64;
-
+use crate::band::BandTable;
 use crate::hasher::Signature;
 use crate::params::optimal_params;
-
-/// Hash of one band (a contiguous slice of signature slots).
-fn band_hash(band_idx: usize, slots: &[u64]) -> u64 {
-    let mut bytes = Vec::with_capacity(8 + slots.len() * 8);
-    bytes.extend_from_slice(&(band_idx as u64).to_le_bytes());
-    for s in slots {
-        bytes.extend_from_slice(&s.to_le_bytes());
-    }
-    fnv1a64(&bytes)
-}
 
 /// A banded LSH index mapping string keys to MinHash signatures, tuned for
 /// one Jaccard threshold at construction time.
@@ -25,8 +14,8 @@ pub struct LshIndex {
     bands: usize,
     rows: usize,
     num_perm: usize,
-    /// One hash table per band: band hash → internal key ids.
-    tables: Vec<HashMap<u64, Vec<u32>>>,
+    /// Every band bucket: band hash → internal key ids.
+    table: BandTable,
     keys: Vec<String>,
 }
 
@@ -39,7 +28,7 @@ impl LshIndex {
             bands,
             rows,
             num_perm,
-            tables: vec![HashMap::new(); bands],
+            table: BandTable::default(),
             keys: Vec::new(),
         }
     }
@@ -67,24 +56,13 @@ impl LshIndex {
         assert_eq!(sig.len(), self.num_perm, "signature length mismatch");
         let id = self.keys.len() as u32;
         self.keys.push(key.to_string());
-        for band in 0..self.bands {
-            let lo = band * self.rows;
-            let h = band_hash(band, &sig.0[lo..lo + self.rows]);
-            self.tables[band].entry(h).or_default().push(id);
-        }
+        self.table.insert(id, &sig.0, self.bands, self.rows);
     }
 
     /// All keys colliding with the query signature in at least one band.
     pub fn query(&self, sig: &Signature) -> Vec<String> {
         assert_eq!(sig.len(), self.num_perm, "signature length mismatch");
-        let mut hits: HashSet<u32> = HashSet::new();
-        for band in 0..self.bands {
-            let lo = band * self.rows;
-            let h = band_hash(band, &sig.0[lo..lo + self.rows]);
-            if let Some(ids) = self.tables[band].get(&h) {
-                hits.extend(ids.iter().copied());
-            }
-        }
+        let hits: HashSet<u32> = self.table.probe(&sig.0, self.bands, self.rows).collect();
         let mut out: Vec<String> = hits
             .into_iter()
             .map(|id| self.keys[id as usize].clone())
