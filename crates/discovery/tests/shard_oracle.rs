@@ -18,15 +18,19 @@
 //!   single-threaded fold of the same recordings — counters and latency
 //!   histograms both (sums are order-independent; whole-microsecond
 //!   durations keep the f64 mean accumulation exact).
+//! * **Warm == cold at every shard count**: a sharded index warm-started
+//!   from its own sketch export hashes nothing and answers exactly like
+//!   the cold build; a snapshot from a foreign hash family hashes every
+//!   domain afresh and still answers exactly like it.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use dialite_datagen::workloads::{ChurnOp, ChurnWorkload};
+use dialite_datagen::workloads::{ChurnOp, ChurnWorkload, HeterogeneousLakeWorkload};
 use dialite_discovery::{
-    DiscoveryBudget, DiscoveryTelemetry, LakeIndexConfig, LshEnsembleConfig, MetadataConfig,
-    MetadataStats, QueryBudget, SantosConfig, SantosStats, ShardedLakeIndex, ShardedTelemetry,
-    TableQuery, TopKStats,
+    Discovered, DiscoveryBudget, DiscoveryTelemetry, LakeIndexConfig, LshEnsembleConfig,
+    MetadataConfig, MetadataStats, QueryBudget, SantosConfig, SantosStats, ShardedLakeIndex,
+    ShardedTelemetry, TableQuery, TopKStats,
 };
 use dialite_kb::curated::covid_kb;
 use dialite_table::DataLake;
@@ -219,5 +223,88 @@ proptest! {
         // Reset zeroes every shard, whichever threads recorded into them.
         sharded.reset();
         prop_assert_eq!(sharded.snapshot(), DiscoveryTelemetry::default());
+    }
+}
+
+/// Every budgeted answer of `index` over the value and header queries.
+fn answers(
+    index: &ShardedLakeIndex,
+    queries: &[TableQuery],
+) -> Vec<Vec<(String, Vec<Discovered>)>> {
+    let budgets = [DiscoveryBudget::unlimited(), DiscoveryBudget::default()];
+    queries
+        .iter()
+        .flat_map(|q| budgets.iter().map(|b| index.discover_all_budgeted(q, 5, b)))
+        .collect()
+}
+
+/// `build_warm` is the cold `build` plus sketch reuse, at N ∈ {1, 2, 4}:
+/// the index's own export leaves no MinHash pass to run, a foreign-family
+/// export (flipped `seed`) reuses nothing, and neither changes an answer.
+/// Runs the sketch path (default `exact_fallback_below`) on a small
+/// heterogeneous lake with all three legs on.
+#[test]
+fn warm_build_matches_cold_build_at_every_shard_count() {
+    let spec = HeterogeneousLakeWorkload {
+        tables: 160,
+        clusters: 5,
+        cluster_headers: 6,
+        max_cols: 4,
+        max_rows: 48,
+        value_vocab: 150,
+        queries: 4,
+        query_rows: 20,
+        seed: 29,
+        ..HeterogeneousLakeWorkload::default()
+    };
+    let lake = spec.lake();
+    let kb = Arc::new(covid_kb());
+    let config = LakeIndexConfig {
+        santos: SantosConfig::default(),
+        lshe: LshEnsembleConfig {
+            num_perm: 64,
+            num_partitions: 4,
+            ..LshEnsembleConfig::default()
+        },
+        metadata: Some(MetadataConfig::default()),
+    };
+    let queries: Vec<TableQuery> = spec
+        .queries()
+        .into_iter()
+        .map(|q| TableQuery::with_column(q, 0))
+        .chain(spec.header_queries().into_iter().map(TableQuery::new))
+        .collect();
+    for shards in [1usize, 2, 4] {
+        let cold = ShardedLakeIndex::build(&lake, kb.clone(), config.clone(), shards);
+        let cold_work = cold.sketch_work();
+        assert!(cold_work > 0, "a cold build hashes every domain");
+        let sketches = cold.export_sketches();
+
+        let warm =
+            ShardedLakeIndex::build_warm(&lake, kb.clone(), config.clone(), shards, &sketches);
+        assert_eq!(
+            warm.sketch_work(),
+            0,
+            "{shards} shards: the index's own export must skip every MinHash pass"
+        );
+        assert_eq!(warm.export_sketches(), sketches, "{shards} shards");
+
+        let mut foreign = sketches.clone();
+        foreign.seed ^= 1;
+        let refit =
+            ShardedLakeIndex::build_warm(&lake, kb.clone(), config.clone(), shards, &foreign);
+        assert_eq!(
+            refit.sketch_work(),
+            cold_work,
+            "{shards} shards: a foreign-family snapshot must hash every domain"
+        );
+
+        let expected = answers(&cold, &queries);
+        assert_eq!(answers(&warm, &queries), expected, "{shards} shards: warm");
+        assert_eq!(
+            answers(&refit, &queries),
+            expected,
+            "{shards} shards: foreign"
+        );
     }
 }
