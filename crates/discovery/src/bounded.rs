@@ -12,7 +12,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::Hash;
 
-use crate::pool::StringPool;
+use crate::pool::TokenIndex;
 
 /// Why a bounded search stopped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -174,23 +174,19 @@ pub(crate) fn best_first<C: Ord, K: Copy + Eq + Hash + Ord>(
 /// it could clear the reporting filter (`score >= min_score` and
 /// `score > 0`); below it, their true score fails the same filter.
 ///
-/// Query tokens resolve through `pool.get`, never interned: the query is
-/// not part of the lake, and unknown tokens occur in no table.
+/// Query tokens resolve through [`TokenIndex::token_id`], never interned:
+/// the query is not part of the lake, and unknown tokens occur in no table.
 pub(crate) fn overlap_candidates<'t>(
-    pool: &StringPool,
-    postings: &HashMap<u32, Vec<u32>>,
+    index: &TokenIndex<u32>,
     q_tokens: impl IntoIterator<Item = &'t String>,
-    slots: impl IntoIterator<Item = u32>,
     min_score: f64,
     bound_for: impl Fn(usize) -> f64,
 ) -> Vec<(u32, f64)> {
-    let q_ids: HashSet<u32> = q_tokens.into_iter().filter_map(|t| pool.get(t)).collect();
-    let mut overlap: HashMap<u32, usize> = HashMap::new();
-    for id in &q_ids {
-        for &slot in postings.get(id).into_iter().flatten() {
-            *overlap.entry(slot).or_insert(0) += 1;
-        }
-    }
+    let q_ids: HashSet<u32> = q_tokens
+        .into_iter()
+        .filter_map(|t| index.token_id(t))
+        .collect();
+    let overlap = index.overlap(&q_ids);
     let mut ranked: Vec<(u32, f64)> = overlap
         .iter()
         .map(|(&slot, &ov)| (slot, bound_for(ov)))
@@ -198,8 +194,8 @@ pub(crate) fn overlap_candidates<'t>(
     let base = bound_for(0);
     if base > 0.0 && base >= min_score {
         ranked.extend(
-            slots
-                .into_iter()
+            index
+                .keys()
                 .filter(|slot| !overlap.contains_key(slot))
                 .map(|slot| (slot, base)),
         );

@@ -77,9 +77,9 @@ pub(crate) fn exact_search<'a>(
     let mut best: HashMap<&str, f64> = HashMap::new();
 
     // Cheapest-first schedule; (length, token id) keys make it total.
-    let mut lists: Vec<(u32, &Vec<DomainKey>)> = q_ids
+    let mut lists: Vec<(u32, &[DomainKey])> = q_ids
         .iter()
-        .filter_map(|id| engine.postings.get(id).map(|list| (*id, list)))
+        .filter_map(|&id| engine.tokens.posting(id).map(|list| (id, list)))
         .collect();
     lists.sort_unstable_by_key(|(id, list)| (list.len(), *id));
     let total_lists = lists.len();
@@ -127,7 +127,7 @@ pub(crate) fn exact_search<'a>(
     let ranked: Vec<(DomainKey, f64)> = overlap
         .into_iter()
         .filter_map(|(key, partial)| {
-            let dom_len = engine.domains.get(&key).map_or(partial, |d| d.len());
+            let dom_len = engine.tokens.ids(&key).map_or(partial, |d| d.len());
             let bound = (partial + remaining).min(dom_len) as f64 / q_len as f64;
             (bound + 1e-12 >= engine.config.threshold).then_some((key, bound))
         })

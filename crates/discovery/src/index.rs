@@ -3,21 +3,22 @@
 //! Discovery engines are expensive to build (annotate every table, hash
 //! every column domain) but open-data lakes churn: tables are added,
 //! corrected and withdrawn while query traffic keeps flowing. A
-//! [`LakeIndex`] wraps the SANTOS-style and LSH Ensemble engines behind
-//! one maintenance point: [`LakeIndex::sync`] reads the lake changelog
-//! ([`DataLake::events_since`]) and applies each delta with
-//! `O(changed tables)` work — interning new tokens into the existing
-//! `StringPool`, retiring dead `(table_slot, col)` domain keys, staging
-//! ensemble inserts — falling back to a full rebuild only when the index
-//! is further behind than the bounded changelog reaches (or when handed an
-//! older lineage of the lake).
+//! [`LakeIndex`] wraps the SANTOS-style, LSH Ensemble and (optional)
+//! metadata engines behind one maintenance point: [`LakeIndex::sync`]
+//! reads the lake changelog ([`DataLake::events_since`]) and applies each
+//! delta with `O(changed tables)` work — interning new tokens into each
+//! leg's existing token index, retiring dead slots and `(table_slot, col)`
+//! domain keys, staging ensemble inserts — falling back to a full rebuild
+//! only when the index is further behind than the bounded changelog
+//! reaches (or when handed an older lineage of the lake).
 //!
 //! Consistency contract, pinned by `tests/incremental_oracle.rs`: after
 //! `sync`, discovery output is equivalent to a fresh build over the lake's
-//! current state — exactly equal for the SANTOS engine and for the LSH
-//! engine's exact-verification semantics; the sketch candidate path
-//! additionally guarantees that domains staged since the last partition
-//! rebalance are exact-scanned, so fresh churn is never a false negative.
+//! current state — exactly equal for the SANTOS and metadata engines and
+//! for the LSH engine's exact-verification semantics; the sketch
+//! candidate path additionally guarantees that domains staged since the
+//! last partition rebalance are exact-scanned, so fresh churn is never a
+//! false negative.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -98,44 +99,33 @@ pub struct LakeIndex {
 }
 
 impl LakeIndex {
-    /// Build both engines over the lake's current state.
+    /// Build every configured engine over the lake's current state.
     pub fn build(lake: &DataLake, kb: Arc<KnowledgeBase>, config: LakeIndexConfig) -> LakeIndex {
         LakeIndex::build_scoped(lake, kb, config, ShardScope::all())
     }
 
-    /// Build both engines over one shard's stripe of the lake. The index
-    /// behaves exactly like [`LakeIndex::build`] over a lake containing
-    /// only the admitted slots: [`sync`](LakeIndex::sync) replays the
-    /// changelog filtered to the stripe (and a forced rebuild re-applies
-    /// the same scope), so the incremental contract carries over per
-    /// shard. [`ShardScope::all`] reproduces the unscoped build.
+    /// Build every configured engine over one shard's stripe of the lake.
+    /// The index behaves exactly like [`LakeIndex::build`] over a lake
+    /// containing only the admitted slots: [`sync`](LakeIndex::sync)
+    /// replays the changelog filtered to the stripe (and a forced rebuild
+    /// re-applies the same scope), so the incremental contract carries
+    /// over per shard. [`ShardScope::all`] reproduces the unscoped build.
+    /// This is [`LakeIndex::build_scoped_warm`] with no sketches to reuse.
     pub fn build_scoped(
         lake: &DataLake,
         kb: Arc<KnowledgeBase>,
         config: LakeIndexConfig,
         scope: ShardScope,
     ) -> LakeIndex {
-        LakeIndex {
-            santos: SantosDiscovery::build_scoped(lake, kb.clone(), config.santos.clone(), scope),
-            lshe: LshEnsembleDiscovery::build_scoped(lake, config.lshe.clone(), scope),
-            metadata: config
-                .metadata
-                .clone()
-                .map(|mc| MetadataDiscovery::build_scoped(lake, mc, scope)),
-            planner: TopKPlanner::new(),
-            telemetry: ShardedTelemetry::default(),
-            kb,
-            config,
-            scope,
-            synced: lake.version(),
-        }
+        LakeIndex::build_scoped_warm(lake, kb, config, scope, &SketchSnapshot::default())
     }
 
     /// Like [`LakeIndex::build_scoped`], but warm-start the LSH engine
     /// from persisted MinHash sketches (see
-    /// [`LshEnsembleDiscovery::build_scoped_warm`]). The SANTOS engine and
-    /// the exact verification structures are always rebuilt from the lake;
-    /// only the MinHash pass is skipped where the snapshot covers it.
+    /// [`LshEnsembleDiscovery::build_scoped_warm`]). The SANTOS and
+    /// metadata engines and the exact verification structures are always
+    /// rebuilt from the lake; only the MinHash pass is skipped where the
+    /// snapshot covers it.
     pub fn build_scoped_warm(
         lake: &DataLake,
         kb: Arc<KnowledgeBase>,
@@ -192,7 +182,7 @@ impl LakeIndex {
         Arc::clone(&self.kb)
     }
 
-    /// The configuration both engines were built with.
+    /// The configuration every engine was built with.
     pub fn config(&self) -> &LakeIndexConfig {
         &self.config
     }
@@ -401,7 +391,7 @@ impl Discovery for LakeIndex {
         "lake-index"
     }
 
-    /// Union of both engines' results; a table found by both keeps its
+    /// Union of every engine's results; a table found by several keeps its
     /// best score (NaN-safe: a degenerate score propagates rather than
     /// being replaced by an invented one).
     fn discover(&self, query: &TableQuery, k: usize) -> Vec<Discovered> {

@@ -4,9 +4,10 @@
 //!
 //! Column domains are identified by `(table slot, col)` pairs — the stable
 //! slot indices of the mutable [`DataLake`] — and stored as token-**id**
-//! sets over a shared [`StringPool`], so verification probes `u32` sets
-//! instead of re-hashing strings, and table names never need to be embedded
-//! in (collision-prone) composite string keys.
+//! sets over the engine's [`StringPool`](crate::StringPool), so
+//! verification probes `u32` sets instead of re-hashing strings, and table
+//! names never need to be embedded in (collision-prone) composite string
+//! keys.
 //!
 //! Alongside the sketch index the engine maintains **exact token posting
 //! lists** (token id → the `(slot, col)` domains containing it). They
@@ -33,7 +34,7 @@ use dialite_table::{DataLake, Table};
 
 use crate::bounded::Hits;
 use crate::cost::{self, ExactSearchStats};
-use crate::pool::{StringPool, POOL_ID_DROPPED};
+use crate::pool::{TokenIndex, POOL_COMPACT_MIN};
 use crate::shard::ShardScope;
 use crate::types::{top_k, Discovered, Discovery, TableQuery};
 
@@ -72,7 +73,7 @@ impl Default for LshEnsembleConfig {
             seed: 0x1517,
             exact_fallback_below: 16,
             rebalance_dirtiness: 0.25,
-            pool_compact_min: 1024,
+            pool_compact_min: POOL_COMPACT_MIN,
         }
     }
 }
@@ -86,28 +87,15 @@ pub struct LshEnsembleDiscovery {
     pub(crate) config: LshEnsembleConfig,
     pub(crate) hasher: MinHasher,
     pub(crate) ensemble: LshEnsemble<DomainKey>,
-    /// `(table slot, col)` → interned token-id set, for exact verification.
-    pub(crate) domains: HashMap<DomainKey, HashSet<u32>>,
+    /// `(table slot, col)` → interned token-id set, for exact verification,
+    /// and the exact inverted index token id → domains. Compacted once
+    /// retired weight overtakes live weight and `pool_compact_min`.
+    pub(crate) tokens: TokenIndex<DomainKey>,
     /// Lake table names by slot index (live tables only).
     pub(crate) table_names: HashMap<u32, String>,
     /// Indexed column indices per slot, so retiring a table touches only
     /// its own domains.
     cols_of: HashMap<u32, Vec<u32>>,
-    /// The token dictionary shared by all indexed domains. Compacted once
-    /// retired weight overtakes live weight (generation-based), so removed
-    /// tables' tokens do not accumulate forever.
-    pub(crate) pool: StringPool,
-    /// Exact inverted index: token id → the domains containing the token.
-    /// Maintained through every upsert/remove, in lockstep with `domains`.
-    pub(crate) postings: HashMap<u32, Vec<DomainKey>>,
-    /// Σ |domain| over live domains (token occurrences, with multiplicity
-    /// across domains).
-    live_weight: usize,
-    /// Token occurrences retired since the last compaction / full build.
-    retired_weight: usize,
-    /// Bumped on every pool compaction; lets callers observe that ids from
-    /// an older generation are no longer meaningful.
-    pool_generation: u64,
 }
 
 impl LshEnsembleDiscovery {
@@ -121,53 +109,14 @@ impl LshEnsembleDiscovery {
     /// lists and equi-depth ensemble partitions are computed over the
     /// stripe alone, exactly as [`LshEnsembleDiscovery::build`] computes
     /// them over the whole lake. [`ShardScope::all`] reproduces the
-    /// unscoped build.
+    /// unscoped build. This is [`LshEnsembleDiscovery::build_scoped_warm`]
+    /// with no sketches to reuse.
     pub fn build_scoped(
         lake: &DataLake,
         config: LshEnsembleConfig,
         scope: ShardScope,
     ) -> LshEnsembleDiscovery {
-        let mut builder = LshEnsembleBuilder::new(config.num_perm, config.seed);
-        let mut domains: HashMap<DomainKey, HashSet<u32>> = HashMap::new();
-        let mut table_names = HashMap::new();
-        let mut cols_of: HashMap<u32, Vec<u32>> = HashMap::new();
-        let mut pool = StringPool::new();
-        let mut postings: HashMap<u32, Vec<DomainKey>> = HashMap::new();
-        let mut live_weight = 0usize;
-        for (t, table) in lake.entries_routed(scope.shard(), scope.of()) {
-            table_names.insert(t, table.name().to_string());
-            for c in 0..table.column_count() {
-                let tokens = table.column_token_set(c);
-                if tokens.is_empty() {
-                    continue;
-                }
-                let key: DomainKey = (t, c as u32);
-                builder.insert_tokens(key, tokens.iter().map(String::as_str));
-                let ids: HashSet<u32> = tokens.iter().map(|tok| pool.intern(tok)).collect();
-                for &id in &ids {
-                    postings.entry(id).or_default().push(key);
-                }
-                live_weight += ids.len();
-                domains.insert(key, ids);
-                cols_of.entry(t).or_default().push(c as u32);
-            }
-        }
-        let hasher = builder.hasher().clone();
-        let mut ensemble = builder.build(config.num_partitions);
-        ensemble.set_rebalance_threshold(config.rebalance_dirtiness);
-        LshEnsembleDiscovery {
-            config,
-            hasher,
-            ensemble,
-            domains,
-            table_names,
-            cols_of,
-            pool,
-            postings,
-            live_weight,
-            retired_weight: 0,
-            pool_generation: 0,
-        }
+        LshEnsembleDiscovery::build_scoped_warm(lake, config, scope, &SketchSnapshot::default())
     }
 
     /// Like [`LshEnsembleDiscovery::build_scoped`], but reuse persisted
@@ -187,41 +136,35 @@ impl LshEnsembleDiscovery {
         scope: ShardScope,
         sketches: &SketchSnapshot,
     ) -> LshEnsembleDiscovery {
-        if !sketches.matches_family(config.num_perm, config.seed) {
-            return LshEnsembleDiscovery::build_scoped(lake, config, scope);
-        }
-        let by_key: HashMap<DomainKey, (usize, &Signature)> = sketches
-            .domains
-            .iter()
-            .map(|(key, size, sig)| (*key, (*size, sig)))
-            .collect();
+        let reusable: HashMap<DomainKey, (usize, &Signature)> =
+            if sketches.matches_family(config.num_perm, config.seed) {
+                sketches
+                    .domains
+                    .iter()
+                    .map(|(key, size, sig)| (*key, (*size, sig)))
+                    .collect()
+            } else {
+                HashMap::new()
+            };
         let mut builder = LshEnsembleBuilder::new(config.num_perm, config.seed);
-        let mut domains: HashMap<DomainKey, HashSet<u32>> = HashMap::new();
+        let mut tokens = TokenIndex::new(config.pool_compact_min);
         let mut table_names = HashMap::new();
         let mut cols_of: HashMap<u32, Vec<u32>> = HashMap::new();
-        let mut pool = StringPool::new();
-        let mut postings: HashMap<u32, Vec<DomainKey>> = HashMap::new();
-        let mut live_weight = 0usize;
         for (t, table) in lake.entries_routed(scope.shard(), scope.of()) {
             table_names.insert(t, table.name().to_string());
             for c in 0..table.column_count() {
-                let tokens = table.column_token_set(c);
-                if tokens.is_empty() {
+                let domain = table.column_token_set(c);
+                if domain.is_empty() {
                     continue;
                 }
                 let key: DomainKey = (t, c as u32);
-                match by_key.get(&key) {
-                    Some(&(size, sig)) if size == tokens.len() => {
+                match reusable.get(&key) {
+                    Some(&(size, sig)) if size == domain.len() => {
                         builder.insert_signature(key, size, sig.clone());
                     }
-                    _ => builder.insert_tokens(key, tokens.iter().map(String::as_str)),
+                    _ => builder.insert_tokens(key, domain.iter().map(String::as_str)),
                 }
-                let ids: HashSet<u32> = tokens.iter().map(|tok| pool.intern(tok)).collect();
-                for &id in &ids {
-                    postings.entry(id).or_default().push(key);
-                }
-                live_weight += ids.len();
-                domains.insert(key, ids);
+                tokens.insert(key, domain.iter().map(String::as_str));
                 cols_of.entry(t).or_default().push(c as u32);
             }
         }
@@ -232,14 +175,9 @@ impl LshEnsembleDiscovery {
             config,
             hasher,
             ensemble,
-            domains,
+            tokens,
             table_names,
             cols_of,
-            pool,
-            postings,
-            live_weight,
-            retired_weight: 0,
-            pool_generation: 0,
         }
     }
 
@@ -265,22 +203,16 @@ impl LshEnsembleDiscovery {
         self.remove_table(slot);
         self.table_names.insert(slot, table.name().to_string());
         for c in 0..table.column_count() {
-            let tokens = table.column_token_set(c);
-            if tokens.is_empty() {
+            let domain = table.column_token_set(c);
+            if domain.is_empty() {
                 continue;
             }
             let key: DomainKey = (slot, c as u32);
-            let sig = self.hasher.signature(tokens.iter().map(String::as_str));
-            self.ensemble.insert(key, tokens.len(), sig);
-            let ids: HashSet<u32> = tokens.iter().map(|tok| self.pool.intern(tok)).collect();
-            for &id in &ids {
-                self.postings.entry(id).or_default().push(key);
-            }
-            self.live_weight += ids.len();
-            self.domains.insert(key, ids);
+            let sig = self.hasher.signature(domain.iter().map(String::as_str));
+            self.ensemble.insert(key, domain.len(), sig);
+            self.tokens.insert(key, domain.iter().map(String::as_str));
             self.cols_of.entry(slot).or_default().push(c as u32);
         }
-        self.maybe_compact_pool();
     }
 
     /// Retire every domain of the table occupying a lake slot.
@@ -289,93 +221,49 @@ impl LshEnsembleDiscovery {
         if self.table_names.remove(&slot).is_none() {
             return;
         }
-        for c in self.cols_of.remove(&slot).unwrap_or_default() {
-            let key: DomainKey = (slot, c);
-            if let Some(ids) = self.domains.remove(&key) {
-                for id in &ids {
-                    if let Some(list) = self.postings.get_mut(id) {
-                        if let Some(pos) = list.iter().position(|k| k == &key) {
-                            list.swap_remove(pos);
-                        }
-                        if list.is_empty() {
-                            self.postings.remove(id);
-                        }
-                    }
-                }
-                self.live_weight -= ids.len();
-                self.retired_weight += ids.len();
-            }
-            self.ensemble.remove(&key);
+        let cols = self.cols_of.remove(&slot).unwrap_or_default();
+        for &c in &cols {
+            self.ensemble.remove(&(slot, c));
         }
-        self.maybe_compact_pool();
+        self.tokens.remove(cols.into_iter().map(|c| (slot, c)));
     }
 
     /// Number of indexed column domains.
     pub fn indexed_domains(&self) -> usize {
-        self.domains.len()
+        self.tokens.len()
     }
 
     /// Number of distinct tokens currently interned (live + not-yet-
     /// compacted dead weight).
     pub fn pool_len(&self) -> usize {
-        self.pool.len()
+        self.tokens.pool_len()
     }
 
     /// `(distinct tokens with postings, total posting entries)` — the
     /// latter always equals the summed live domain sizes, an invariant the
     /// incremental oracle pins under churn.
     pub fn posting_stats(&self) -> (usize, usize) {
-        (
-            self.postings.len(),
-            self.postings.values().map(Vec::len).sum(),
-        )
+        (self.tokens.posted_tokens(), self.tokens.posting_entries())
     }
 
     /// How many times the token pool has been compacted. Compactions remap
     /// every stored token id, so the count doubles as a cheap "ids from an
-    /// earlier epoch are invalid" witness in tests.
+    /// earlier epoch are invalid" witness in tests. The pool compacts once
+    /// dead dictionary weight overtakes live weight and
+    /// `pool_compact_min`, which bounds it at roughly twice the live token
+    /// weight however long churn runs (pinned by `tests/pool_props.rs`).
     pub fn pool_generation(&self) -> u64 {
-        self.pool_generation
+        self.tokens.generation()
     }
 
-    /// Compact once dead dictionary weight overtakes live weight (and the
-    /// configured floor). The floor keeps small or rarely-churning lakes
-    /// from paying the O(pool) rewrite for negligible savings; the
-    /// overtake rule bounds the pool at roughly twice the live token
-    /// weight regardless of how long churn runs (pinned by
-    /// `tests/pool_props.rs`).
-    fn maybe_compact_pool(&mut self) {
-        if self.retired_weight > self.live_weight.max(self.config.pool_compact_min) {
-            self.compact_pool();
-        }
-    }
-
-    /// Drop every token no live domain references, re-densify ids, and
-    /// rewrite all domain sets and posting lists through the remap.
-    /// `O(live tokens + pool)`.
-    fn compact_pool(&mut self) {
-        let live: HashSet<u32> = self.domains.values().flatten().copied().collect();
-        let remap = self.pool.compact(&live);
-        for ids in self.domains.values_mut() {
-            *ids = ids
-                .iter()
-                .map(|&id| remap[id as usize])
-                .inspect(|&id| debug_assert_ne!(id, POOL_ID_DROPPED, "live id dropped"))
-                .collect();
-        }
-        self.postings = std::mem::take(&mut self.postings)
-            .into_iter()
-            .map(|(id, list)| (remap[id as usize], list))
-            .collect();
-        self.retired_weight = 0;
-        self.pool_generation += 1;
-    }
-
-    /// Resolve the query's tokens through the shared pool. Tokens the pool
+    /// Resolve the query's tokens through the engine's pool. Tokens the pool
     /// has never seen occur in no domain and drop out (the containment
     /// denominator stays the full query size).
     pub(crate) fn query_token_ids(&self, q_tokens: &HashSet<String>) -> Vec<u32> {
-        q_tokens.iter().filter_map(|t| self.pool.get(t)).collect()
+        q_tokens
+            .iter()
+            .filter_map(|t| self.tokens.token_id(t))
+            .collect()
     }
 
     /// The exact (sketch-free) answer for small-to-mid queries: the
@@ -403,13 +291,8 @@ impl LshEnsembleDiscovery {
             cost::exact_search(self, q_ids, q_len, exclude_table, k, max_postings)
         } else {
             let mut best = HashMap::new();
-            let verified = self.verify_candidates(
-                self.domains.keys().copied(),
-                q_ids,
-                q_len,
-                exclude_table,
-                &mut best,
-            );
+            let verified =
+                self.verify_candidates(self.tokens.keys(), q_ids, q_len, exclude_table, &mut best);
             (
                 best,
                 ExactSearchStats {
@@ -432,31 +315,11 @@ impl LshEnsembleDiscovery {
         q_len: usize,
         exclude_table: &str,
     ) -> (HashMap<&str, f64>, usize) {
-        let mut overlap: HashMap<DomainKey, usize> = HashMap::new();
-        for id in q_ids {
-            if let Some(list) = self.postings.get(id) {
-                for key in list {
-                    *overlap.entry(*key).or_insert(0) += 1;
-                }
-            }
-        }
+        let overlap = self.tokens.overlap(q_ids);
         let scored = overlap.len();
-        let mut best: HashMap<&str, f64> = HashMap::new();
+        let mut best = HashMap::new();
         for (key, hits) in overlap {
-            let c = hits as f64 / q_len as f64;
-            if c + 1e-12 < self.config.threshold {
-                continue;
-            }
-            let Some(table) = self.table_names.get(&key.0) else {
-                continue;
-            };
-            if table == exclude_table {
-                continue;
-            }
-            let entry = best.entry(table.as_str()).or_insert(0.0);
-            if c > *entry {
-                *entry = c;
-            }
+            self.fold(key, hits as f64 / q_len as f64, exclude_table, &mut best);
         }
         (best, scored)
     }
@@ -505,7 +368,7 @@ impl LshEnsembleDiscovery {
     ) -> usize {
         let mut verified = 0usize;
         for key in candidates {
-            let Some(domain) = self.domains.get(&key) else {
+            let Some(domain) = self.tokens.ids(&key) else {
                 continue;
             };
             verified += 1;
@@ -821,7 +684,10 @@ mod tests {
         let lake = demo_lake();
         let mut engine = LshEnsembleDiscovery::build(&lake, LshEnsembleConfig::default());
         let weight = |e: &LshEnsembleDiscovery| -> usize {
-            e.domains.values().map(HashSet::len).sum::<usize>()
+            e.tokens
+                .keys()
+                .map(|key| e.tokens.ids(&key).map_or(0, HashSet::len))
+                .sum::<usize>()
         };
         let (_, total) = engine.posting_stats();
         assert_eq!(total, weight(&engine));
@@ -895,7 +761,7 @@ mod tests {
         assert!(scored >= merged.len(), "scored counts every merged domain");
         let mut scanned = HashMap::new();
         engine.verify_candidates(
-            engine.domains.keys().copied(),
+            engine.tokens.keys(),
             &q_ids,
             q_tokens.len(),
             q.table.name(),

@@ -7,10 +7,10 @@
 //! engine answers exactly that query mode:
 //!
 //! 1. **Index.** For every lake table, tokenize each column header with
-//!    [`dialite_text::word_tokens`] and intern the tokens in a shared
-//!    [`StringPool`]. An inverted index `header token → tables` provides
-//!    candidate retrieval; the same retire/compact machinery as the SANTOS
-//!    leg's synthesized-signal postings keeps long-churn memory bounded.
+//!    [`dialite_text::word_tokens`] and intern the tokens in the engine's
+//!    own token index. Its inverted index `header token → tables`
+//!    provides candidate retrieval, and its retire/compact rule (the one
+//!    every leg uses) keeps long-churn memory bounded.
 //! 2. **Query.** Tokenize the query table's headers the same way (query
 //!    tokens resolve through the pool, never intern — the query is not
 //!    part of the lake).
@@ -24,14 +24,13 @@
 //! bounds; `cap == usize::MAX` is the exhaustive full-header-scan oracle
 //! path the bounded path is pinned against (`tests/metadata_oracle.rs`).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 use dialite_table::{DataLake, Table};
 use dialite_text::{jaccard, word_tokens};
 
 use crate::bounded::{self, Hits, Stop, Visit};
-use crate::pool::StringPool;
-use crate::santos::POOL_COMPACT_MIN;
+use crate::pool::{TokenIndex, POOL_COMPACT_MIN};
 use crate::shard::ShardScope;
 use crate::types::{top_k, top_k_of, Discovered, Discovery, TableQuery};
 
@@ -75,10 +74,6 @@ struct TableMeta {
     name: String,
     /// Per-column header token sets (the unit the score compares).
     columns: Vec<HashSet<String>>,
-    /// The table's distinct header tokens interned in the engine's shared
-    /// pool — the keys of its posting entries, kept so removal retires
-    /// exactly those postings.
-    header_ids: Vec<u32>,
 }
 
 /// The metadata-aware discovery engine. Build once per lake, then either
@@ -92,17 +87,9 @@ pub struct MetadataDiscovery {
     /// Per-table metadata, keyed by the lake's stable slot index. A
     /// `BTreeMap` keeps the full-scan oracle deterministic.
     tables: BTreeMap<u32, TableMeta>,
-    /// Header-token dictionary (same [`StringPool`] machinery the other
-    /// legs intern through).
-    pool: StringPool,
-    /// Inverted index: header token id → table slots whose headers contain
-    /// the token.
-    header_postings: HashMap<u32, Vec<u32>>,
-    /// Σ distinct header tokens over live tables (with multiplicity across
-    /// tables).
-    live_weight: usize,
-    /// Header-token weight retired since the last pool compaction.
-    retired_weight: usize,
+    /// Table slot → its distinct header tokens, and header token → the
+    /// slots whose headers contain it.
+    headers: TokenIndex<u32>,
 }
 
 impl MetadataDiscovery {
@@ -123,10 +110,7 @@ impl MetadataDiscovery {
         let mut engine = MetadataDiscovery {
             config,
             tables: BTreeMap::new(),
-            pool: StringPool::new(),
-            header_postings: HashMap::new(),
-            live_weight: 0,
-            retired_weight: 0,
+            headers: TokenIndex::new(POOL_COMPACT_MIN),
         };
         for (slot, table) in lake.entries_routed(scope.shard(), scope.of()) {
             engine.upsert_table(slot, table);
@@ -144,78 +128,27 @@ impl MetadataDiscovery {
             .iter()
             .map(|col| word_tokens(&col.name).into_iter().collect())
             .collect();
-        let ids: HashSet<u32> = columns
-            .iter()
-            .flat_map(|col| col.iter())
-            .map(|tok| self.pool.intern(tok))
-            .collect();
-        for &id in &ids {
-            self.header_postings.entry(id).or_default().push(slot);
-        }
-        self.live_weight += ids.len();
+        self.headers
+            .insert(slot, columns.iter().flatten().map(String::as_str));
         self.tables.insert(
             slot,
             TableMeta {
                 name: table.name().to_string(),
                 columns,
-                header_ids: ids.into_iter().collect(),
             },
         );
     }
 
     /// Drop the header metadata of the table occupying a lake slot.
     pub fn remove_table(&mut self, slot: u32) {
-        let Some(meta) = self.tables.remove(&slot) else {
-            return;
-        };
-        for id in &meta.header_ids {
-            if let Some(list) = self.header_postings.get_mut(id) {
-                if let Some(pos) = list.iter().position(|s| *s == slot) {
-                    list.swap_remove(pos);
-                }
-                if list.is_empty() {
-                    self.header_postings.remove(id);
-                }
-            }
-        }
-        self.live_weight -= meta.header_ids.len();
-        self.retired_weight += meta.header_ids.len();
-        self.maybe_compact_pool();
-    }
-
-    /// Compact the header-token pool once dead weight overtakes live
-    /// weight (and the [`POOL_COMPACT_MIN`] floor), remapping every stored
-    /// token id — the same overtake rule the other legs use, so long-churn
-    /// memory stays bounded.
-    fn maybe_compact_pool(&mut self) {
-        if self.retired_weight <= self.live_weight.max(POOL_COMPACT_MIN) {
-            return;
-        }
-        let live: HashSet<u32> = self
-            .tables
-            .values()
-            .flat_map(|meta| meta.header_ids.iter().copied())
-            .collect();
-        let remap = self.pool.compact(&live);
-        for meta in self.tables.values_mut() {
-            for id in &mut meta.header_ids {
-                *id = remap[*id as usize];
-            }
-        }
-        self.header_postings = std::mem::take(&mut self.header_postings)
-            .into_iter()
-            .map(|(id, list)| (remap[id as usize], list))
-            .collect();
-        self.retired_weight = 0;
+        self.tables.remove(&slot);
+        self.headers.remove([slot]);
     }
 
     /// `(distinct interned header tokens, total posting entries)` — the
     /// latter always equals the summed live per-table header weights.
     pub fn header_posting_stats(&self) -> (usize, usize) {
-        (
-            self.pool.len(),
-            self.header_postings.values().map(Vec::len).sum(),
-        )
+        (self.headers.pool_len(), self.headers.posting_entries())
     }
 
     /// Number of indexed tables.
@@ -305,10 +238,8 @@ impl MetadataDiscovery {
         }
 
         let ranked = bounded::overlap_candidates(
-            &self.pool,
-            &self.header_postings,
+            &self.headers,
             q_cols.iter().flatten(),
-            self.tables.keys().copied(),
             self.config.min_score,
             |ov| {
                 let total: f64 = q_cols

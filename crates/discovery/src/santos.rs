@@ -27,15 +27,9 @@ use dialite_table::{DataLake, Table};
 use dialite_text::jaccard;
 
 use crate::bounded::{self, Hits, Stop, Visit};
-use crate::pool::StringPool;
+use crate::pool::{TokenIndex, POOL_COMPACT_MIN};
 use crate::shard::ShardScope;
 use crate::types::{score_cmp, top_k, top_k_of, Discovered, Discovery, TableQuery};
-
-/// Floor on the retired-token weight before table removal may trigger
-/// compaction of the synthesized-signal token pool; keeps tiny lakes from
-/// compacting on every remove. Shared with the metadata engine, which runs
-/// the same overtake rule over its header-token pool.
-pub(crate) const POOL_COMPACT_MIN: usize = 1024;
 
 /// Configuration of the SANTOS-style engine.
 #[derive(Debug, Clone)]
@@ -84,12 +78,6 @@ struct TableSemantics {
     /// signal against *typed* query columns too, so the capped-retrieval
     /// upper bound must keep the `synth_weight` ceiling open for it.
     has_untyped_column: bool,
-    /// The table's distinct value tokens (union over columns) interned in
-    /// the engine's shared pool — the keys of its synthesized-signal
-    /// posting entries, kept so removal retires exactly those postings.
-    /// Empty until the engine indexes the semantics (query-side
-    /// annotations never intern).
-    token_ids: Vec<u32>,
 }
 
 /// What one capped SANTOS query actually did — the observability half of
@@ -130,19 +118,11 @@ pub struct SantosDiscovery {
     tables: BTreeMap<u32, TableSemantics>,
     /// Inverted index: type → table slots exhibiting it on some column.
     by_type: HashMap<TypeId, HashSet<u32>>,
-    /// Token dictionary of the synthesized-signal postings (same
-    /// [`StringPool`] machinery the joinable engine interns through).
-    pool: StringPool,
-    /// Synthesized-signal inverted index: token id → table slots whose
-    /// value domain (union over columns) contains the token. Gives
+    /// Synthesized-signal index: table slot → its distinct value tokens
+    /// (union over columns), and token → the slots holding it. Gives
     /// typeless (KB-poor) queries best-bound-first retrieval where only
     /// the full scan existed before.
-    token_postings: HashMap<u32, Vec<u32>>,
-    /// Σ distinct tokens over live tables (with multiplicity across
-    /// tables).
-    live_weight: usize,
-    /// Token weight retired since the last pool compaction.
-    retired_weight: usize,
+    tokens: TokenIndex<u32>,
 }
 
 impl SantosDiscovery {
@@ -166,10 +146,7 @@ impl SantosDiscovery {
             config,
             tables: BTreeMap::new(),
             by_type: HashMap::new(),
-            pool: StringPool::new(),
-            token_postings: HashMap::new(),
-            live_weight: 0,
-            retired_weight: 0,
+            tokens: TokenIndex::new(POOL_COMPACT_MIN),
         };
         for (slot, table) in lake.entries_routed(scope.shard(), scope.of()) {
             engine.upsert_table(slot, table);
@@ -181,23 +158,14 @@ impl SantosDiscovery {
     /// `O(that table)`.
     pub fn upsert_table(&mut self, slot: u32, table: &Table) {
         self.remove_table(slot);
-        let mut sem = annotate_table(&self.kb, table, &self.config);
+        let sem = annotate_table(&self.kb, table, &self.config);
         for col in &sem.columns {
             for (t, _) in &col.types {
                 self.by_type.entry(*t).or_default().insert(slot);
             }
         }
-        let ids: HashSet<u32> = sem
-            .columns
-            .iter()
-            .flat_map(|col| col.tokens.iter())
-            .map(|tok| self.pool.intern(tok))
-            .collect();
-        for &id in &ids {
-            self.token_postings.entry(id).or_default().push(slot);
-        }
-        self.live_weight += ids.len();
-        sem.token_ids = ids.into_iter().collect();
+        let tokens = sem.columns.iter().flat_map(|col| col.tokens.iter());
+        self.tokens.insert(slot, tokens.map(String::as_str));
         self.tables.insert(slot, sem);
     }
 
@@ -216,55 +184,14 @@ impl SantosDiscovery {
                 }
             }
         }
-        for id in &sem.token_ids {
-            if let Some(list) = self.token_postings.get_mut(id) {
-                if let Some(pos) = list.iter().position(|s| *s == slot) {
-                    list.swap_remove(pos);
-                }
-                if list.is_empty() {
-                    self.token_postings.remove(id);
-                }
-            }
-        }
-        self.live_weight -= sem.token_ids.len();
-        self.retired_weight += sem.token_ids.len();
-        self.maybe_compact_pool();
-    }
-
-    /// Compact the synthesized-signal token pool once dead weight
-    /// overtakes live weight (and the [`POOL_COMPACT_MIN`] floor),
-    /// remapping every stored token id — the same overtake rule the
-    /// joinable engine uses, so long-churn memory stays bounded.
-    fn maybe_compact_pool(&mut self) {
-        if self.retired_weight <= self.live_weight.max(POOL_COMPACT_MIN) {
-            return;
-        }
-        let live: HashSet<u32> = self
-            .tables
-            .values()
-            .flat_map(|sem| sem.token_ids.iter().copied())
-            .collect();
-        let remap = self.pool.compact(&live);
-        for sem in self.tables.values_mut() {
-            for id in &mut sem.token_ids {
-                *id = remap[*id as usize];
-            }
-        }
-        self.token_postings = std::mem::take(&mut self.token_postings)
-            .into_iter()
-            .map(|(id, list)| (remap[id as usize], list))
-            .collect();
-        self.retired_weight = 0;
+        self.tokens.remove([slot]);
     }
 
     /// `(distinct interned tokens, total synthesized-signal posting
     /// entries)` — the latter always equals the summed live per-table
     /// token weights.
     pub fn token_posting_stats(&self) -> (usize, usize) {
-        (
-            self.pool.len(),
-            self.token_postings.values().map(Vec::len).sum(),
-        )
+        (self.tokens.pool_len(), self.tokens.posting_entries())
     }
 
     /// Number of indexed tables.
@@ -371,7 +298,6 @@ fn annotate_table(kb: &KnowledgeBase, table: &Table, config: &SantosConfig) -> T
         columns,
         pairs,
         has_untyped_column,
-        token_ids: Vec::new(),
     }
 }
 
@@ -595,10 +521,8 @@ impl SantosDiscovery {
     ) -> Vec<(u32, f64)> {
         let synth = self.config.synth_weight.max(0.0);
         bounded::overlap_candidates(
-            &self.pool,
-            &self.token_postings,
+            &self.tokens,
             q_sem.columns.iter().flat_map(|col| col.tokens.iter()),
-            self.tables.keys().copied(),
             self.config.min_score,
             |ov| {
                 self.score_bound(intent, edge_conf, |j| match q_sem.columns[j].tokens.len() {

@@ -1,7 +1,7 @@
 //! Sharded discovery: the storage/execution split over the [`LakeIndex`].
 //!
-//! One `LakeIndex` is a single-core monolith — one `StringPool`, one
-//! SANTOS inverted index, one LSH ensemble, and (for writers) one
+//! One `LakeIndex` is a single-core monolith — one token index per leg,
+//! one SANTOS inverted index, one LSH ensemble, and (for writers) one
 //! exclusive critical section per sync. At open-data-lake scale the
 //! storage must be partitioned. This module splits the stack in two:
 //!
@@ -201,29 +201,15 @@ pub struct ShardedLakeIndex {
 
 impl ShardedLakeIndex {
     /// Build `shards` scoped indexes over the lake's current state (a
-    /// count of 0 is clamped to 1).
+    /// count of 0 is clamped to 1): [`ShardedLakeIndex::build_warm`] with
+    /// no sketches to reuse.
     pub fn build(
         lake: &DataLake,
         kb: Arc<KnowledgeBase>,
         config: LakeIndexConfig,
         shards: usize,
     ) -> ShardedLakeIndex {
-        let router = ShardRouter::new(shards);
-        let shards = (0..router.shards())
-            .map(|i| {
-                RwLock::new(LakeIndex::build_scoped(
-                    lake,
-                    kb.clone(),
-                    config.clone(),
-                    router.scope(i),
-                ))
-            })
-            .collect();
-        ShardedLakeIndex {
-            router,
-            shards,
-            churn: Mutex::new(()),
-        }
+        ShardedLakeIndex::build_warm(lake, kb, config, shards, &SketchSnapshot::default())
     }
 
     /// Like [`ShardedLakeIndex::build`], but warm-start every shard's LSH
@@ -499,8 +485,8 @@ impl Discovery for ShardedLakeIndex {
         "sharded-lake-index"
     }
 
-    /// Union of both engines' results across all shards; a table found by
-    /// both engines keeps its best score (NaN-safe), exactly like
+    /// Union of every engine's results across all shards; a table found
+    /// by several engines keeps its best score (NaN-safe), exactly like
     /// [`LakeIndex`]'s union.
     fn discover(&self, query: &TableQuery, k: usize) -> Vec<Discovered> {
         let mut best: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
